@@ -253,10 +253,24 @@ def _rel_dev(a, b):
     return abs(a - b) / abs(b)
 
 
+def _step_count(t_stop, dt):
+    """t_stop / dt as a whole number of steps; ValidationError unless it is one."""
+    ratio = t_stop / dt if dt != 0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValidationError(f"t_stop / dt must be finite, got t_stop={t_stop!r}, dt={dt!r}")
+    steps = round(ratio)
+    if abs(ratio - steps) > 1e-9 * abs(ratio):
+        raise ValidationError(
+            f"t_stop / dt = {ratio!r} is not a whole number of steps "
+            f"(t_stop={t_stop!r}, dt={dt!r})"
+        )
+    return steps
+
+
 def cmd_compare(cfg):
     alpha, chi = cfg["alpha"], cfg["chi"]
     d0 = cfg["d0"] if cfg["d0"] > 0 else pump_dimension(alpha)
-    steps = int(round(cfg["t_stop"] / cfg["dt"]))
+    steps = _step_count(cfg["t_stop"], cfg["dt"])
     s0 = product_state(coherent(alpha, d0), pnes([1.0], cfg["pair_dim"]))
     spec = EvolutionSpec(HamiltonianParams(chi), dt=cfg["dt"], steps=steps,
                          record_every=cfg["record_every"])

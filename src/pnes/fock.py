@@ -2,6 +2,10 @@
 
 Amplitudes are stored as a dense complex vector with row-major layout,
 pump index slowest: flat index of |n0, n1, n2> is (n0*d1 + n1)*d2 + n2.
+This is the exchange format of the package.  The interaction generator and
+the moment observables work on the sector layout of ``kernels`` instead,
+which keeps only the occupied n1 - n2 sectors: a PureState is gathered
+into it on the way in and scattered back on the way out.
 Truncation is a hard cutoff with explicit leakage accounting: amplitude
 a raising operator would send to occupation d_m is discarded and its
 squared magnitude added to the state's ``leakage`` field.
@@ -67,9 +71,11 @@ class HamiltonianParams:
 class PureState:
     """Normalized amplitude vector over the three-mode Fock basis.
 
-    ``leakage`` accumulates probability discarded at the truncation
-    boundary; |amplitudes|^2 + leakage stays within 1e-9 of 1 under
-    unitary evolution.
+    ``leakage`` accumulates an estimate of the probability discarded at
+    the truncation boundary.  Evolution on the truncated box is itself
+    norm-preserving, and the propagator's estimate (dt^2 times the boundary
+    flux per step) grows with dt, so |amplitudes|^2 + leakage stays near 1
+    only while no probability reaches the cutoff edge.
     """
 
     config: TruncationConfig
@@ -145,9 +151,9 @@ def apply_interaction_generator(s, p):
     box, so exact evolution under it preserves the norm.  Leakage is carried
     through unchanged; the propagator accounts boundary flux separately.
     """
-    out = np.empty(s.config.shape, dtype=np.complex128)
-    kernels.apply_generator(s.grid(), p.chi, out)
-    return PureState(s.config, out.reshape(-1), s.leakage)
+    psi, layout = kernels.gather(s.grid())
+    out = kernels.apply_generator(psi, p.chi, np.empty_like(psi), layout)
+    return PureState(s.config, kernels.scatter(out, layout).reshape(-1), s.leakage)
 
 
 def inner(s1, s2):

@@ -1,7 +1,8 @@
 """Expectation values and dispersions for the pair operators.
 
-All quantities are assembled matrix-free from ladder actions on the dense
-amplitude grid:
+All moments are assembled matrix-free from ladder actions on the sector
+layout of ``kernels`` (a PureState is gathered first), so their cost
+follows the occupied n1 - n2 sectors, not the dense grid:
 
     A   = a1 a2            pair amplitude (expectation is the model's Lambda)
     N   = n1 + n2          total pair photon number
@@ -16,9 +17,11 @@ cutoff edge.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import ValidationError
 
 
@@ -38,46 +41,57 @@ class ObservableSet:
     conserved_k: float
 
 
-def _occupations(s):
-    d0, d1, d2 = s.config.shape
-    return (
-        np.arange(d0)[:, None, None],
-        np.arange(d1)[None, :, None],
-        np.arange(d2)[None, None, :],
+class _Moments(NamedTuple):
+    pair: complex  # <A>
+    pair2: complex  # <A^2>
+    ada: float  # <A+ A>
+    aad: float  # <A A+>
+    pump: complex  # <a0>
+    total_n: float
+    diff_n: float
+    conserved_k: float
+
+
+def _moments(s):
+    """Every moment the observables use, computed together on the sector layout.
+
+    s is a PureState (gathered here) or a ``kernels.Sectors``.  A A+ and
+    A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the A A+ weight
+    is zeroed on the raise boundary so the result agrees with the truncated
+    operators (and with the dense oracle) everywhere.
+    """
+    psi, lay = s if isinstance(s, kernels.Sectors) else kernels.gather(s.grid())
+    p = psi.real**2 + psi.imag**2
+    p_pair = p.sum(axis=0)
+    total_n = float(np.sum(lay.nsum * p_pair))
+    return _Moments(
+        pair=complex(np.vdot(psi[:, :-1], lay.pair_w[:-1] * psi[:, 1:])),
+        pair2=complex(np.vdot(psi[:, :-2], lay.pair2_w * psi[:, 2:])),
+        ada=float(np.sum(lay.n1n2 * p_pair)),
+        aad=float(np.sum(lay.raise_w * p_pair)),
+        pump=complex(np.vdot(psi[:-1], lay.pump_w * psi[1:])),
+        total_n=total_n,
+        diff_n=float(np.sum(lay.delta * p_pair)),
+        conserved_k=float(np.dot(lay.n0, p.sum(axis=(1, 2)))) + 0.5 * total_n,
     )
-
-
-def _pair_lower(g):
-    """A g = a1 a2 g on the (d0,d1,d2) grid."""
-    d0, d1, d2 = g.shape
-    out = np.zeros_like(g)
-    w = np.sqrt(np.outer(np.arange(1, d1), np.arange(1, d2)))
-    out[:, : d1 - 1, : d2 - 1] = w[None, :, :] * g[:, 1:, 1:]
-    return out
 
 
 def expect_pair_amplitude(s):
     """<A> = <a1 a2>, the state's pair amplitude (the model's Lambda)."""
-    g = s.grid()
-    return complex(np.vdot(g, _pair_lower(g)))
+    return _moments(s).pair
 
 
 def expect_pump_amplitude(s):
     """<a0>."""
-    g = s.grid()
-    d0 = s.config.d0
-    w = np.sqrt(np.arange(1, d0))[:, None, None]
-    return complex(np.vdot(g[: d0 - 1], w * g[1:]))
+    return _moments(s).pump
 
 
 def expect_total_number(s):
-    n0, n1, n2 = _occupations(s)
-    return float(np.sum((n1 + n2) * s.probabilities()))
+    return _moments(s).total_n
 
 
 def expect_number_difference(s):
-    n0, n1, n2 = _occupations(s)
-    return float(np.sum((n1 - n2) * s.probabilities()))
+    return _moments(s).diff_n
 
 
 def pump_quadrature(s):
@@ -87,39 +101,20 @@ def pump_quadrature(s):
 
 def conserved_excitation(s):
     """<K> = <n0 + (n1+n2)/2>, conserved by the trilinear interaction."""
-    n0, n1, n2 = _occupations(s)
-    return float(np.sum((n0 + 0.5 * (n1 + n2)) * s.probabilities()))
+    return _moments(s).conserved_k
 
 
-def _pair_moments(s):
-    """(<A>, <A^2>, <A+A>, <AA+>) assembled matrix-free.
-
-    A A+ and A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the
-    A A+ weight is zeroed on the raise boundary so the result agrees with
-    the truncated operators (and with the dense oracle) everywhere.
-    """
-    g = s.grid()
-    p = np.abs(g) ** 2
-    n0, n1, n2 = _occupations(s)
-    u = _pair_lower(g)
-    a = complex(np.vdot(g, u))
-    a2 = complex(np.vdot(g, _pair_lower(u)))
-    ada = float(np.sum(n1 * n2 * p))
-    w_aad = ((n1 + 1) * (n2 + 1)).astype(float) + 0.0 * n0
-    w_aad[:, -1, :] = 0.0
-    w_aad[:, :, -1] = 0.0
-    aad = float(np.sum(w_aad * p))
-    return a, a2, ada, aad
+def _dispersion(mo, sign):
+    if sign == "plus":
+        return 2.0 * mo.pair2.real + mo.ada + mo.aad - (2.0 * mo.pair.real) ** 2
+    return mo.ada + mo.aad - 2.0 * mo.pair2.real - (2.0 * mo.pair.imag) ** 2
 
 
 def pair_quadrature_dispersion(s, sign):
     """Dispersion of C+ (sign='plus') or C- (sign='minus')."""
     if sign not in ("plus", "minus"):
         raise ValidationError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    a, a2, ada, aad = _pair_moments(s)
-    if sign == "plus":
-        return 2.0 * a2.real + ada + aad - (2.0 * a.real) ** 2
-    return ada + aad - 2.0 * a2.real - (2.0 * a.imag) ** 2
+    return _dispersion(_moments(s), sign)
 
 
 def c_plus_expectation(s):
@@ -154,21 +149,17 @@ def edge_occupancy(s):
 
 
 def measure(s):
-    """All observables of one state, assembled in a single pass."""
-    a, a2, ada, aad = _pair_moments(s)
-    alpha0 = expect_pump_amplitude(s)
-    c_plus = 2.0 * a.real
-    disp_plus = 2.0 * a2.real + ada + aad - c_plus**2
-    disp_minus = ada + aad - 2.0 * a2.real - (2.0 * a.imag) ** 2
+    """All observables of one state (a PureState or a kernels.Sectors)."""
+    mo = _moments(s)
     return ObservableSet(
-        pair_amp=a,
-        pair_amp_conj=a.conjugate(),
-        total_n=expect_total_number(s),
-        diff_n=expect_number_difference(s),
-        pump_amp=alpha0,
-        pump_quad=2.0 * alpha0.real,
-        c_plus=c_plus,
-        disp_plus=disp_plus,
-        disp_minus=disp_minus,
-        conserved_k=conserved_excitation(s),
+        pair_amp=mo.pair,
+        pair_amp_conj=mo.pair.conjugate(),
+        total_n=mo.total_n,
+        diff_n=mo.diff_n,
+        pump_amp=mo.pump,
+        pump_quad=2.0 * mo.pump.real,
+        c_plus=2.0 * mo.pair.real,
+        disp_plus=_dispersion(mo, "plus"),
+        disp_minus=_dispersion(mo, "minus"),
+        conserved_k=mo.conserved_k,
     )

@@ -8,13 +8,19 @@ classical rk4 and taylor4 (degree-4 truncation of exp(G dt)); for this
 autonomous linear system they agree to rounding, which is exactly what
 makes them a useful cross-check against kernel bugs.
 
+G conserves n1 - n2, so ``evolve`` gathers only the occupied n1 - n2 sectors
+of the initial state into the stacked sector array of ``kernels`` and runs
+the integrator, the leakage sum and every ``measure`` there; the other
+sectors stay exactly zero.  The dense PureState is rebuilt only for the
+final state.
+
 Norm renormalization is never applied silently: drift is reported on the
 trajectory, and leakage through the cutoff boundary is accounted per step
 from the generator's boundary flux.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +28,6 @@ from . import kernels
 from .errors import IntegrationDivergedError, NoisyDerivativeError, ValidationError
 from .fock import HamiltonianParams, PureState
 from .observables import (
-    ObservableSet,
     expect_pump_amplitude,
     expect_total_number,
     measure,
@@ -59,9 +64,9 @@ class ExactTrajectory:
     leakage: float
 
 
-def _stability_check(s0, spec):
+def _stability_check(sectors, spec):
     # |chi| dt * pump-amplitude scale beyond ~0.1 degrades rk4 accuracy
-    scale = max(1.0, abs(expect_pump_amplitude(s0)))
+    scale = max(1.0, abs(expect_pump_amplitude(sectors)))
     if spec.params.chi * abs(spec.dt) * scale > 0.1:
         warnings.warn(
             f"chi*dt*pump_scale = {spec.params.chi * abs(spec.dt) * scale:.3g} > 0.1; "
@@ -71,26 +76,26 @@ def _stability_check(s0, spec):
         )
 
 
-def _rk4_step(psi, chi, dt, scratch):
+def _rk4_step(psi, chi, dt, scratch, layout):
     k1, k2, k3, k4, tmp = scratch
-    kernels.apply_generator(psi, chi, k1)
+    kernels.apply_generator(psi, chi, k1, layout)
     np.multiply(k1, 0.5 * dt, out=tmp)
     tmp += psi
-    kernels.apply_generator(tmp, chi, k2)
+    kernels.apply_generator(tmp, chi, k2, layout)
     np.multiply(k2, 0.5 * dt, out=tmp)
     tmp += psi
-    kernels.apply_generator(tmp, chi, k3)
+    kernels.apply_generator(tmp, chi, k3, layout)
     np.multiply(k3, dt, out=tmp)
     tmp += psi
-    kernels.apply_generator(tmp, chi, k4)
+    kernels.apply_generator(tmp, chi, k4, layout)
     psi += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _taylor4_step(psi, chi, dt, scratch):
+def _taylor4_step(psi, chi, dt, scratch, layout):
     term, nxt = scratch[0], scratch[1]
     term[...] = psi
     for k in range(1, 5):
-        kernels.apply_generator(term, chi, nxt)
+        kernels.apply_generator(term, chi, nxt, layout)
         np.multiply(nxt, dt / k, out=term)
         psi += term
 
@@ -100,32 +105,33 @@ def evolve(s0, spec):
 
     Observables are recorded every record_every steps (always including the
     initial and final times).  Raises IntegrationDivergedError naming the
-    step if any amplitude becomes non-finite.
+    step if any amplitude becomes non-finite.  The work runs on the occupied
+    n1 - n2 sectors of s0 only (see ``kernels``).
     """
-    _stability_check(s0, spec)
+    sectors = kernels.gather(s0.grid())
+    psi, layout = sectors
+    _stability_check(sectors, spec)
     chi = spec.params.chi
-    psi = s0.grid().copy()
     leak = s0.leakage
     scratch = [np.empty_like(psi) for _ in range(5)]
     step_fn = _rk4_step if spec.method == "rk4" else _taylor4_step
 
     times = [0.0]
-    obs = [measure(s0)]
+    obs = [measure(sectors)]
     norms = [float(np.linalg.norm(psi))]
     leaks = [leak]
     for k in range(spec.steps):
-        leak += spec.dt * spec.dt * kernels.discard_flux_sq(psi, chi)
-        step_fn(psi, chi, spec.dt, scratch)
+        leak += spec.dt * spec.dt * kernels.discard_flux_sq(psi, chi, layout)
+        step_fn(psi, chi, spec.dt, scratch, layout)
         if not np.all(np.isfinite(psi)):
             raise IntegrationDivergedError(f"non-finite amplitude at step {k + 1}")
         if (k + 1) % spec.record_every == 0 or k + 1 == spec.steps:
-            state_k = PureState(s0.config, psi.reshape(-1).copy(), leak)
             times.append((k + 1) * spec.dt)
-            obs.append(measure(state_k))
-            norms.append(state_k.norm())
+            obs.append(measure(sectors))
+            norms.append(float(np.linalg.norm(psi)))
             leaks.append(leak)
 
-    final = PureState(s0.config, psi.reshape(-1), leak)
+    final = PureState(s0.config, kernels.scatter(psi, layout).reshape(-1), leak)
     norms_arr = np.asarray(norms)
     drift = float(np.max(np.abs(norms_arr**2 + np.asarray(leaks) - 1.0)))
     return ExactTrajectory(

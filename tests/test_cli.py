@@ -175,6 +175,15 @@ class TestCompare:
         assert float(rows[0][j]) == 0.0
         assert max(float(r[j]) for r in rows) < 0.01
 
+    def test_fractional_step_count_rejected(self, tmp_path, capsys):
+        text = COMPARE_CFG.replace("t_stop = 0.5", "t_stop = 0.505")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert "whole number of steps" in record["message"]
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestDispersion:
     def test_tmc_report_rows(self, tmp_path):

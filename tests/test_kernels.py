@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pnes import kernels
-from pnes.fock import TruncationConfig
+
+from oracle import dense_generator
 
 
 def random_grid(shape, seed=0):
@@ -11,16 +12,11 @@ def random_grid(shape, seed=0):
     return g / np.linalg.norm(g)
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (3, 5, 4), (7, 6, 6)])
-def test_backends_agree(shape):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    psi = random_grid(shape)
-    out_np = np.empty_like(psi)
-    out_nb = np.empty_like(psi)
-    kernels.apply_generator_numpy(psi, 0.37, out_np)
-    kernels.apply_generator_numba(psi, 0.37, out_nb)
-    np.testing.assert_allclose(out_nb, out_np, atol=1e-14)
+def apply_dense(grid, chi):
+    """G applied to a dense grid through the sector kernel."""
+    psi, layout = kernels.gather(grid)
+    out = kernels.apply_generator(psi, chi, np.empty_like(psi), layout)
+    return kernels.scatter(out, layout)
 
 
 def test_generator_is_antisymmetric_matrix():
@@ -30,9 +26,7 @@ def test_generator_is_antisymmetric_matrix():
     for j in range(dim):
         e = np.zeros(dim, dtype=np.complex128)
         e[j] = 1.0
-        out = np.empty(shape, dtype=np.complex128)
-        kernels.apply_generator(e.reshape(shape), 1.0, out)
-        mat[:, j] = out.reshape(-1).real
+        mat[:, j] = apply_dense(e.reshape(shape), 1.0).reshape(-1).real
     np.testing.assert_allclose(mat, -mat.T, atol=1e-14)
 
 
@@ -41,7 +35,8 @@ def test_discard_flux_zero_on_interior():
     psi[-1, :, :] = 0
     psi[:, -1, :] = 0
     psi[:, :, -1] = 0
-    assert kernels.discard_flux_sq(psi, 1.0) == 0.0
+    sectors = kernels.gather(psi)
+    assert kernels.discard_flux_sq(sectors.psi, 1.0, sectors.layout) == 0.0
 
 
 def test_discard_flux_matches_extended_box():
@@ -51,13 +46,11 @@ def test_discard_flux_matches_extended_box():
     chi = 0.8
     big = np.zeros((5, 5, 5), dtype=np.complex128)
     big[:4, :4, :4] = psi
-    out_big = np.empty_like(big)
-    kernels.apply_generator_numpy(big, chi, out_big)
+    out_big = (dense_generator(big.shape, chi) @ big.reshape(-1)).reshape(big.shape)
     outside = out_big.copy()
     outside[:4, :4, :4] = 0.0
     want = float(np.sum(np.abs(outside) ** 2))
-    assert kernels.discard_flux_sq(psi, chi) == pytest.approx(want, rel=1e-12)
-
-
-def test_backend_name():
-    assert kernels.backend_name() in ("numba", "numpy")
+    sectors = kernels.gather(psi)
+    assert kernels.discard_flux_sq(sectors.psi, chi, sectors.layout) == pytest.approx(
+        want, rel=1e-12
+    )
