@@ -53,7 +53,6 @@ SCHEMAS = {
         "dt": (float, REQUIRED),
         "steps": (int, REQUIRED),
         "record_every": (int, 1),
-        "method": (str, "rk4"),
     },
     "evolve-model": {
         "profile": (str, REQUIRED),  # constant | rectangular | gaussian | sampled
@@ -201,7 +200,6 @@ def cmd_evolve_exact(cfg):
         dt=cfg["dt"],
         steps=cfg["steps"],
         record_every=cfg["record_every"],
-        method=cfg["method"],
     )
     traj = evolve(s0, spec)
     columns = [
@@ -360,6 +358,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         raw = read_config_file(args.config)
         cfg = validate_config(args.command, raw)
         exit_code = 0

@@ -3,10 +3,9 @@
 The state is integrated in the resonant rotating frame, d psi/dt = G psi
 with G = chi (a1+ a2+ a0 - a1 a2 a0+); the free-Hamiltonian terms are
 removed analytically (at resonance they only rotate phases jointly and
-commute with the interaction).  Two fixed-step integrators are provided:
-classical rk4 and taylor4 (degree-4 truncation of exp(G dt)); for this
-autonomous linear system they agree to rounding, which is exactly what
-makes them a useful cross-check against kernel bugs.
+commute with the interaction).  The integrator is classical fixed-step
+RK4; tests check it against exp(G t) built by eigendecomposition and
+against the two-state rotation.
 
 G conserves n1 - n2, so ``evolve`` gathers only the occupied n1 - n2 sectors
 of the initial state into the stacked sector array of ``kernels`` and runs
@@ -40,7 +39,6 @@ class EvolutionSpec:
     dt: float
     steps: int
     record_every: int = 1
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.dt == 0 or not np.isfinite(self.dt):
@@ -49,8 +47,6 @@ class EvolutionSpec:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
         if self.record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
-        if self.method not in ("rk4", "taylor4"):
-            raise ValidationError(f"method must be 'rk4' or 'taylor4', got {self.method!r}")
 
 
 @dataclass
@@ -91,15 +87,6 @@ def _rk4_step(psi, chi, dt, scratch, layout):
     psi += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _taylor4_step(psi, chi, dt, scratch, layout):
-    term, nxt = scratch[0], scratch[1]
-    term[...] = psi
-    for k in range(1, 5):
-        kernels.apply_generator(term, chi, nxt, layout)
-        np.multiply(nxt, dt / k, out=term)
-        psi += term
-
-
 def evolve(s0, spec):
     """Integrate d psi/dt = G psi from s0 over spec.steps steps of spec.dt.
 
@@ -114,7 +101,6 @@ def evolve(s0, spec):
     chi = spec.params.chi
     leak = s0.leakage
     scratch = [np.empty_like(psi) for _ in range(5)]
-    step_fn = _rk4_step if spec.method == "rk4" else _taylor4_step
 
     times = [0.0]
     obs = [measure(sectors)]
@@ -122,7 +108,7 @@ def evolve(s0, spec):
     leaks = [leak]
     for k in range(spec.steps):
         leak += spec.dt * spec.dt * kernels.discard_flux_sq(psi, chi, layout)
-        step_fn(psi, chi, spec.dt, scratch, layout)
+        _rk4_step(psi, chi, spec.dt, scratch, layout)
         if not np.all(np.isfinite(psi)):
             raise IntegrationDivergedError(f"non-finite amplitude at step {k + 1}")
         if (k + 1) % spec.record_every == 0 or k + 1 == spec.steps:

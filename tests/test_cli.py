@@ -236,6 +236,15 @@ class TestScan:
         assert statuses[0] == "ok"
         assert "ValidationError" in statuses[1]
 
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SCAN_CFG)
+        out = tmp_path / "out.csv"
+        assert main(["scan", "--config", cfg, "--out", str(out), "--workers", "0"]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert "--workers" in record["message"]
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_validation_error(self, tmp_path, capsys):

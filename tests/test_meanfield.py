@@ -76,6 +76,24 @@ class TestTauOfT:
         p = PumpProfile.sampled([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
         assert tau_of_t(p, 1.0, 2.0) == pytest.approx(2.0, abs=1e-11)
 
+    def test_sampled_mid_segment_both_sides_of_kink(self):
+        p = PumpProfile.sampled([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
+        assert tau_of_t(p, 1.0, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert tau_of_t(p, 1.0, 1.5) == pytest.approx(1.75, abs=1e-15)
+
+    def test_sampled_past_support_raises(self):
+        p = PumpProfile.sampled([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ExtrapolationError):
+            tau_of_t(p, 1.0, 1.5)
+
+    def test_gaussian_deep_tail_matches_asymptotic_series(self):
+        chi, a, c, w, z = 0.3, 1.7, 2.0, 0.5, 20.0
+        p = PumpProfile.gaussian(a, c, w)
+        series = chi * a * w * math.exp(-0.5 * z * z) / z * (1 - z**-2 + 3 * z**-4 - 15 * z**-6)
+        tau = tau_of_t(p, chi, c - z * w)
+        assert tau > 0.0
+        assert tau == pytest.approx(series, rel=1e-8)
+
     def test_far_past_is_zero(self):
         for p in (PumpProfile.rectangular(1.0, 1.0), gaussian_with_area(1.0, 0.2)):
             assert tau_of_t(p, 1.0, -1e6) == 0.0

@@ -11,11 +11,11 @@ from pnes.propagator import EvolutionSpec, evolve, rate_of
 from pnes.states import coherent, pnes, product_state, twb
 
 
-def two_state_populations(chi, t, dt, method="rk4"):
+def two_state_populations(chi, t, dt):
     cfg = TruncationConfig(2, 2, 2)
     s0 = basis_state(1, 0, 0, cfg)
     steps = int(round(t / dt))
-    spec = EvolutionSpec(HamiltonianParams(chi), dt=dt, steps=steps, method=method)
+    spec = EvolutionSpec(HamiltonianParams(chi), dt=dt, steps=steps)
     traj = evolve(s0, spec)
     psi = traj.final_state.amplitudes
     p_pump = abs(psi[basis_index(1, 0, 0, cfg)]) ** 2
@@ -31,10 +31,6 @@ class TestEvolutionSpec:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValidationError):
             EvolutionSpec(HamiltonianParams(1.0), dt=0.1, steps=-1)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValidationError):
-            EvolutionSpec(HamiltonianParams(1.0), dt=0.1, steps=1, method="euler")
 
     def test_large_step_warns(self):
         s0 = product_state(coherent(3.0, 40), pnes([1.0], 4))
@@ -55,11 +51,6 @@ class TestEvolve:
         p_pump, p_pair, _ = two_state_populations(1.0, chi_t, dt=0.005)
         assert p_pump == pytest.approx(math.cos(chi_t) ** 2, abs=1e-8)
         assert p_pair == pytest.approx(math.sin(chi_t) ** 2, abs=1e-8)
-
-    def test_methods_agree(self):
-        p_rk4 = two_state_populations(1.0, 0.8, dt=0.01, method="rk4")[0]
-        p_taylor = two_state_populations(1.0, 0.8, dt=0.01, method="taylor4")[0]
-        assert p_rk4 == pytest.approx(p_taylor, abs=1e-13)
 
     def test_fourth_order_convergence(self):
         exact = math.cos(1.0) ** 2
