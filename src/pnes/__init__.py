@@ -34,6 +34,7 @@ from .dispersion import (
     DispersionReport,
     analytic_rate,
     model_rate_from_trajectory,
+    exact_rate,
     exact_rate_fd,
     diagnostic_simple_rate,
     build_report,
@@ -69,6 +70,7 @@ __all__ = [
     "DispersionReport",
     "analytic_rate",
     "model_rate_from_trajectory",
+    "exact_rate",
     "exact_rate_fd",
     "diagnostic_simple_rate",
     "build_report",

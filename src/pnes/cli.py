@@ -6,15 +6,15 @@
 Configs are flat ``key = value`` files; unknown keys are errors and every
 violation is reported, not just the first.  Outputs are deterministic:
 identical configs produce byte-identical files.  Exit codes: 0 success,
-1 validation error, 2 numerical failure, 3 partial scan failure.
+1 validation error, 2 numerical failure, 3 partial scan failure.  ``scan``
+runs its points serially; ``--workers N`` with N > 1 spreads them over a
+process pool.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -287,7 +287,7 @@ def cmd_compare(cfg):
 
 REPORT_COLUMNS = [
     "family", "param", "chi", "alpha",
-    "rate_exact_fd", "rate_analytic_exact", "rate_analytic_model", "rate_model_traj",
+    "rate_exact", "rate_analytic_exact", "rate_analytic_model", "rate_model_traj",
     "rate_diag_simple", "rel_err_exact", "model_exact_ratio", "ratios_defined",
 ]
 
@@ -295,7 +295,7 @@ REPORT_COLUMNS = [
 def _report_row(report):
     return [
         report.state_family, report.state_param, report.chi, report.alpha,
-        report.rate_exact_fd, report.rate_analytic_exact, report.rate_analytic_model,
+        report.rate_exact, report.rate_analytic_exact, report.rate_analytic_model,
         report.rate_model_traj, report.rate_diag_simple, report.rel_err_exact,
         report.model_exact_ratio, report.ratios_defined,
     ]
@@ -319,15 +319,17 @@ def _scan_point(args):
 
 
 def cmd_scan(cfg, workers):
+    """Every grid point, serially unless workers > 1 asks for a process pool."""
     grid = [
         (cfg["family"], param, chi, alpha)
         for chi in cfg["chi_values"]
         for alpha in cfg["alpha_values"]
         for param in cfg["params"]
     ]
-    if workers is None:
-        workers = os.cpu_count() or 1
     if workers > 1 and len(grid) > 1:
+        # imported here: it pulls in multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_point, grid))
     else:
@@ -354,11 +356,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
-        if args.workers is not None and args.workers < 1:
+        if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         raw = read_config_file(args.config)
         cfg = validate_config(args.command, raw)

@@ -124,6 +124,19 @@ def apply_generator(psi, chi, out, layout):
     return out
 
 
+def apply_pair_quadrature(psi, out, layout):
+    """out <- C+ psi = (A + A+) psi on ``layout``, with A = a1 a2 and A+ its transpose.
+
+    A takes m + 1 to m with weight ``pair_w[m]``, which is zero on padding and on
+    the raise edge, so this is the C+ of the truncated box.  out must not alias psi.
+    """
+    w = layout.pair_w[:-1]
+    np.multiply(w, psi[:, 1:], out=out[:, :-1])
+    out[:, -1] = 0.0
+    out[:, 1:] += w * psi[:, :-1]
+    return out
+
+
 def discard_flux_sq(psi, chi, layout):
     """Squared norm of the component of G psi that falls outside the cutoff box.
 

@@ -154,6 +154,9 @@ def twb_x_from_tau(tau):
 
 @dataclass
 class ModelTrajectory:
+    """Model solution on a time grid; ``tau`` is None for source == "ode"
+    (the ODE does not need it; ``closed_form_trajectory`` reports it)."""
+
     times: np.ndarray
     tau: np.ndarray
     Lambda: np.ndarray
@@ -239,5 +242,4 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
         raise StepSizeError(
             f"step-halving error estimate {err:.3e} exceeds {_ODE_TOL:.0e}"
         )
-    tau = np.array([tau_of_t(p, chi, t) for t in t_grid])
-    return ModelTrajectory(t_grid, tau, l2, n2, "ode")
+    return ModelTrajectory(t_grid, None, l2, n2, "ode")

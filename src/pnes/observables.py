@@ -13,7 +13,8 @@ follows the occupied n1 - n2 sectors, not the dense grid:
 
 A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1) and n1 n2), so
 the dispersions never need a materialized operator and stay exact at the
-cutoff edge.
+cutoff edge.  ``disp_plus_rate`` gives dD_{C+}/dt from the equation of
+motion, with one application of the generator.
 """
 
 from dataclasses import dataclass
@@ -52,6 +53,11 @@ class _Moments(NamedTuple):
     conserved_k: float
 
 
+def _sectors(s):
+    """s itself if it is a ``kernels.Sectors``, else the PureState s gathered."""
+    return s if isinstance(s, kernels.Sectors) else kernels.gather(s.grid())
+
+
 def _moments(s):
     """Every moment the observables use, computed together on the sector layout.
 
@@ -60,7 +66,7 @@ def _moments(s):
     is zeroed on the raise boundary so the result agrees with the truncated
     operators (and with the dense oracle) everywhere.
     """
-    psi, lay = s if isinstance(s, kernels.Sectors) else kernels.gather(s.grid())
+    psi, lay = _sectors(s)
     p = psi.real**2 + psi.imag**2
     p_pair = p.sum(axis=0)
     total_n = float(np.sum(lay.nsum * p_pair))
@@ -120,6 +126,22 @@ def pair_quadrature_dispersion(s, sign):
 def c_plus_expectation(s):
     """<C+> = 2 Re<A>."""
     return 2.0 * expect_pair_amplitude(s).real
+
+
+def disp_plus_rate(s, chi):
+    """dD_{C+}/dt of s under G = chi (a1+ a2+ a0 - a1 a2 a0+), from psi' = G psi.
+
+    The Heisenberg equation of motion gives
+    dD/dt = 2 Re<G psi|C+^2 psi> - 4 <C+> Re<G psi|C+ psi>; C+ is real
+    symmetric, so <g|C+^2 psi> = <C+ g|C+ psi> and C+^2 is never formed.
+    One G application, no evolution.  s is a PureState or a kernels.Sectors.
+    """
+    psi, lay = _sectors(s)
+    g = kernels.apply_generator(psi, chi, np.empty_like(psi), lay)
+    c_psi = kernels.apply_pair_quadrature(psi, np.empty_like(psi), lay)
+    c_g = kernels.apply_pair_quadrature(g, np.empty_like(psi), lay)
+    c_plus = np.vdot(psi, c_psi).real
+    return float(2.0 * np.vdot(c_g, c_psi).real - 4.0 * c_plus * np.vdot(g, c_psi).real)
 
 
 def photon_number_distribution(s, mode):

@@ -1,8 +1,14 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnes
 from pnes.cli import main, read_config_file, validate_config
 from pnes.errors import ValidationError
 
@@ -236,6 +242,14 @@ class TestScan:
         assert statuses[0] == "ok"
         assert "ValidationError" in statuses[1]
 
+    def test_serial_without_workers(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("scan started a process pool without --workers")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = write_cfg(tmp_path / "c.cfg", SCAN_CFG)
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+
     def test_zero_workers_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SCAN_CFG)
         out = tmp_path / "out.csv"
@@ -244,6 +258,14 @@ class TestScan:
         assert record["error"] == "ValidationError"
         assert "--workers" in record["message"]
         assert not out.exists()
+
+
+def test_import_does_not_load_the_process_pool():
+    code = "import sys, pnes.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(pnes.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert run.stdout.strip() == "False"
 
 
 class TestExitCodes:

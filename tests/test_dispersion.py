@@ -7,6 +7,7 @@ from pnes.dispersion import (
     build_report,
     default_truncation,
     diagnostic_simple_rate,
+    exact_rate,
     exact_rate_fd,
     model_rate_from_trajectory,
     analytic_rate,
@@ -78,6 +79,31 @@ class TestExactRateFd:
         assert exact_rate_fd("tmc", 0.5, 0.05, 2.0) == pytest.approx(2 * base, rel=1e-6)
 
 
+# the points of the two benchmark scans, perfbench/configs/scan_{twb,tmc}.cfg
+SCAN_GRID = [
+    (family, param, chi, alpha)
+    for family, params in (("twb", (0.2, 0.4, 0.6)), ("tmc", (0.5, 1.0, 2.0)))
+    for param in params
+    for chi in (0.05, 0.1)
+    for alpha in (1.0, 2.0, 4.0)
+]
+
+
+class TestExactRate:
+    @pytest.mark.parametrize("family,param,chi,alpha", SCAN_GRID)
+    def test_agrees_with_finite_differences(self, family, param, chi, alpha):
+        got = exact_rate(family, param, chi, alpha)
+        assert got == pytest.approx(exact_rate_fd(family, param, chi, alpha), rel=1e-9)
+
+    def test_is_the_report_column(self):
+        rep = build_report("twb", 0.4, 0.1, 2.0)
+        assert rep.rate_exact == exact_rate("twb", 0.4, 0.1, 2.0)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValidationError):
+            exact_rate("twb", 1.0, 0.1, 1.0)
+
+
 class TestDiagnosticSimpleRate:
     def test_tmc_agreement(self):
         lam, chi, alpha = 0.8, 0.1, 1.5
@@ -116,11 +142,11 @@ class TestBuildReport:
         assert not rep.ratios_defined
         assert math.isnan(rep.rel_err_exact)
         assert math.isnan(rep.model_exact_ratio)
-        assert abs(rep.rate_exact_fd) < 1e-9
+        assert abs(rep.rate_exact) < 1e-9
 
     def test_diagnostic_columns_consistent(self):
         rep = build_report("tmc", 0.5, 0.1, 1.0)
-        assert rep.rate_diag_simple == pytest.approx(rep.rate_exact_fd, rel=1e-3)
+        assert rep.rate_diag_simple == pytest.approx(rep.rate_exact, rel=1e-3)
 
 
 class TestDefaultTruncation:

@@ -130,6 +130,7 @@ class TestIntegrateModel:
         assert np.max(np.abs(ode.Lambda - cf.Lambda)) < 1e-8
         assert np.max(np.abs(ode.N - cf.N)) < 1e-8
         assert ode.Lambda[-1] == pytest.approx(closed_form(0.2)[0], abs=1e-8)
+        assert ode.tau is None  # tau comes from the closed form only
 
     def test_matches_closed_form_gaussian(self):
         p = gaussian_with_area(1.5, 0.4, center=1.0)

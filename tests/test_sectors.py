@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from pnes import kernels
 from pnes.fock import HamiltonianParams, PureState, TruncationConfig
+from pnes.observables import disp_plus_rate
 from pnes.propagator import EvolutionSpec, evolve
 
-from oracle import dense_generator
+from oracle import dense_generator, dense_ops
 
 
 def sector_index(shape):
@@ -56,6 +57,36 @@ def test_sector_generator_matches_dense(state, chi):
     out = kernels.apply_generator(psi, chi, np.empty_like(psi), layout)
     want = dense_generator(grid.shape, chi) @ grid.reshape(-1)
     np.testing.assert_allclose(kernels.scatter(out, layout).reshape(-1), want, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector_states())
+def test_sector_pair_quadrature_matches_dense(state):
+    grid, _ = state
+    psi, layout = kernels.gather(grid)
+    out = kernels.apply_pair_quadrature(psi, np.empty_like(psi), layout)
+    want = dense_ops(grid.shape)["C_plus"] @ grid.reshape(-1)
+    np.testing.assert_allclose(kernels.scatter(out, layout).reshape(-1), want, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector_states(min_sectors=1), st.floats(0.0, 0.5))
+def test_disp_plus_rate_matches_dense_equation_of_motion(state, chi):
+    grid, _ = state
+    v = grid.reshape(-1)
+    c = dense_ops(grid.shape)["C_plus"]
+    gv = dense_generator(grid.shape, chi) @ v
+    cv = c @ v
+    want = 2 * np.vdot(gv, c @ cv).real - 4 * np.vdot(v, cv).real * np.vdot(gv, cv).real
+    s = PureState(TruncationConfig(*grid.shape), v)
+    assert abs(disp_plus_rate(s, chi) - want) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(sector_states(min_sectors=1))
+def test_disp_plus_rate_vanishes_without_coupling(state):
+    grid, _ = state
+    assert disp_plus_rate(kernels.gather(grid), 0.0) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
