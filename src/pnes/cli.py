@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .dispersion import build_report
-from .errors import NumericalError, ValidationError
+from .errors import DimensionTooSmallError, NumericalError, ValidationError
 from .fock import HamiltonianParams
 from .meanfield import PumpProfile, closed_form_trajectory, integrate_model
 from .propagator import EvolutionSpec, evolve
-from .states import coherent, pnes, product_state, pump_dimension, tmc, twb
+from .states import COHERENT_TAIL_WARN, coherent, pnes, product_state, pump_dimension, tmc, twb
 
 REQUIRED = object()
 
@@ -179,8 +179,19 @@ def _json_num(v):
 
 
 def _build_exact_state(cfg):
+    """coherent(alpha) on d0 pump levels times the family's pair state.
+
+    Raises DimensionTooSmallError when d0 cuts off more than
+    COHERENT_TAIL_WARN of the pump, as twb and tmc do for the pair cutoff.
+    """
     alpha = cfg["alpha"]
     d0 = cfg["d0"] if cfg["d0"] > 0 else pump_dimension(alpha)
+    pump = coherent(alpha, d0)
+    if pump.tail_warning:
+        raise DimensionTooSmallError(
+            f"pump tail mass {pump.tail_mass:.3e} at d0={d0}, alpha={alpha!r} "
+            f"exceeds {COHERENT_TAIL_WARN:.0e}; increase d0"
+        )
     d = cfg["pair_dim"]
     if cfg["family"] == "vacuum":
         pair = pnes([1.0], d)
@@ -190,7 +201,7 @@ def _build_exact_state(cfg):
         pair = tmc(cfg["param"], d)
     else:
         raise ValidationError(f"family must be vacuum, twb or tmc, got {cfg['family']!r}")
-    return product_state(coherent(alpha, d0), pair)
+    return product_state(pump, pair)
 
 
 def cmd_evolve_exact(cfg):
@@ -267,9 +278,8 @@ def _step_count(t_stop, dt):
 
 def cmd_compare(cfg):
     alpha, chi = cfg["alpha"], cfg["chi"]
-    d0 = cfg["d0"] if cfg["d0"] > 0 else pump_dimension(alpha)
     steps = _step_count(cfg["t_stop"], cfg["dt"])
-    s0 = product_state(coherent(alpha, d0), pnes([1.0], cfg["pair_dim"]))
+    s0 = _build_exact_state(dict(cfg, family="vacuum"))
     spec = EvolutionSpec(HamiltonianParams(chi), dt=cfg["dt"], steps=steps,
                          record_every=cfg["record_every"])
     traj = evolve(s0, spec)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .fock import HamiltonianParams, TruncationConfig
 from .kernels import gather
-from .observables import c_plus_expectation, disp_plus_rate, pump_quadrature
+from .observables import disp_plus_rate, measure
 from .propagator import rate_of
 from .states import (
     coherent,
@@ -134,7 +134,8 @@ def exact_rate_fd(family, param, chi, alpha, trunc=None):
 
 def diagnostic_simple_rate(s, chi):
     """Literal 2 chi <Q> <C+>; matches TMC but not TWB, reported only."""
-    return 2.0 * chi * pump_quadrature(s) * c_plus_expectation(s)
+    o = measure(s)
+    return 2.0 * chi * o.pump_quad * o.c_plus
 
 
 def build_report(family, param, chi, alpha, trunc=None):

@@ -53,18 +53,15 @@ class TruncationConfig:
 class HamiltonianParams:
     """Coupling strength of the trilinear interaction, units 1/time.
 
-    ``resonance`` asserts omega_0 = omega_1 + omega_2; the rotating-frame
-    propagator requires it and it is always true in this version.
+    The modes are resonant, omega_0 = omega_1 + omega_2: the propagator
+    works in the rotating frame, where only this coupling remains.
     """
 
     chi: float
-    resonance: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.chi) or self.chi < 0:
             raise ValidationError(f"chi must be finite and >= 0, got {self.chi!r}")
-        if not self.resonance:
-            raise ValidationError("non-resonant detunings are not supported")
 
 
 @dataclass

@@ -91,7 +91,9 @@ def occupied_sectors(grid):
     _, d1, d2 = grid.shape
     occupied = np.any(grid != 0, axis=0)
     delta = np.subtract.outer(np.arange(d1), np.arange(d2))
-    return tuple(np.unique(delta[occupied]).tolist())
+    # a bincount over the d1 + d2 - 1 values, not np.unique, which imports numpy.ma
+    counts = np.bincount(delta[occupied] + d2 - 1, minlength=d1 + d2 - 1)
+    return tuple((np.flatnonzero(counts) - (d2 - 1)).tolist())
 
 
 def gather(grid):

@@ -11,14 +11,16 @@ follows the occupied n1 - n2 sectors, not the dense grid:
     Q   = a0 + a0+         pump quadrature
     K   = n0 + (n1+n2)/2   conserved total excitation
 
-A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1) and n1 n2), so
-the dispersions never need a materialized operator and stay exact at the
-cutoff edge.  ``disp_plus_rate`` gives dD_{C+}/dt from the equation of
-motion, with one application of the generator.
+``measure`` is the one moment pass: it computes every moment of a state
+together and returns them as an ``ObservableSet``; the single-value
+accessors (``expect_pair_amplitude``, ``pump_quadrature``, ...) read one
+field of it.  A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1)
+and n1 n2), so the dispersions never need a materialized operator and stay
+exact at the cutoff edge.  ``disp_plus_rate`` gives dD_{C+}/dt from the
+equation of motion, with one application of the generator.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,90 +44,80 @@ class ObservableSet:
     conserved_k: float
 
 
-class _Moments(NamedTuple):
-    pair: complex  # <A>
-    pair2: complex  # <A^2>
-    ada: float  # <A+ A>
-    aad: float  # <A A+>
-    pump: complex  # <a0>
-    total_n: float
-    diff_n: float
-    conserved_k: float
-
-
 def _sectors(s):
     """s itself if it is a ``kernels.Sectors``, else the PureState s gathered."""
     return s if isinstance(s, kernels.Sectors) else kernels.gather(s.grid())
 
 
-def _moments(s):
-    """Every moment the observables use, computed together on the sector layout.
+def measure(s):
+    """All observables of one state, computed together on the sector layout.
 
     s is a PureState (gathered here) or a ``kernels.Sectors``.  A A+ and
     A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the A A+ weight
-    is zeroed on the raise boundary so the result agrees with the truncated
-    operators (and with the dense oracle) everywhere.
+    is zeroed on the raise boundary so the dispersions agree with the
+    truncated operators (and with the dense oracle) everywhere.
     """
     psi, lay = _sectors(s)
     p = psi.real**2 + psi.imag**2
     p_pair = p.sum(axis=0)
     total_n = float(np.sum(lay.nsum * p_pair))
-    return _Moments(
-        pair=complex(np.vdot(psi[:, :-1], lay.pair_w[:-1] * psi[:, 1:])),
-        pair2=complex(np.vdot(psi[:, :-2], lay.pair2_w * psi[:, 2:])),
-        ada=float(np.sum(lay.n1n2 * p_pair)),
-        aad=float(np.sum(lay.raise_w * p_pair)),
-        pump=complex(np.vdot(psi[:-1], lay.pump_w * psi[1:])),
+    pair = complex(np.vdot(psi[:, :-1], lay.pair_w[:-1] * psi[:, 1:]))  # <A>
+    pair2 = complex(np.vdot(psi[:, :-2], lay.pair2_w * psi[:, 2:]))  # <A^2>
+    ada = float(np.sum(lay.n1n2 * p_pair))  # <A+ A>
+    aad = float(np.sum(lay.raise_w * p_pair))  # <A A+>
+    pump = complex(np.vdot(psi[:-1], lay.pump_w * psi[1:]))  # <a0>
+    return ObservableSet(
+        pair_amp=pair,
+        pair_amp_conj=pair.conjugate(),
         total_n=total_n,
         diff_n=float(np.sum(lay.delta * p_pair)),
+        pump_amp=pump,
+        pump_quad=2.0 * pump.real,
+        c_plus=2.0 * pair.real,
+        disp_plus=2.0 * pair2.real + ada + aad - (2.0 * pair.real) ** 2,
+        disp_minus=ada + aad - 2.0 * pair2.real - (2.0 * pair.imag) ** 2,
         conserved_k=float(np.dot(lay.n0, p.sum(axis=(1, 2)))) + 0.5 * total_n,
     )
 
 
 def expect_pair_amplitude(s):
     """<A> = <a1 a2>, the state's pair amplitude (the model's Lambda)."""
-    return _moments(s).pair
+    return measure(s).pair_amp
 
 
 def expect_pump_amplitude(s):
     """<a0>."""
-    return _moments(s).pump
+    return measure(s).pump_amp
 
 
 def expect_total_number(s):
-    return _moments(s).total_n
+    return measure(s).total_n
 
 
 def expect_number_difference(s):
-    return _moments(s).diff_n
+    return measure(s).diff_n
 
 
 def pump_quadrature(s):
     """<Q> = <a0 + a0+> = 2 Re<a0>."""
-    return 2.0 * expect_pump_amplitude(s).real
+    return measure(s).pump_quad
 
 
 def conserved_excitation(s):
     """<K> = <n0 + (n1+n2)/2>, conserved by the trilinear interaction."""
-    return _moments(s).conserved_k
-
-
-def _dispersion(mo, sign):
-    if sign == "plus":
-        return 2.0 * mo.pair2.real + mo.ada + mo.aad - (2.0 * mo.pair.real) ** 2
-    return mo.ada + mo.aad - 2.0 * mo.pair2.real - (2.0 * mo.pair.imag) ** 2
+    return measure(s).conserved_k
 
 
 def pair_quadrature_dispersion(s, sign):
     """Dispersion of C+ (sign='plus') or C- (sign='minus')."""
     if sign not in ("plus", "minus"):
         raise ValidationError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    return _dispersion(_moments(s), sign)
+    return measure(s).disp_plus if sign == "plus" else measure(s).disp_minus
 
 
 def c_plus_expectation(s):
     """<C+> = 2 Re<A>."""
-    return 2.0 * expect_pair_amplitude(s).real
+    return measure(s).c_plus
 
 
 def disp_plus_rate(s, chi):
@@ -168,20 +160,3 @@ def edge_occupancy(s):
     if d2 > 1:
         mask[:, :, -1] = True
     return float(np.sum(p[mask]))
-
-
-def measure(s):
-    """All observables of one state (a PureState or a kernels.Sectors)."""
-    mo = _moments(s)
-    return ObservableSet(
-        pair_amp=mo.pair,
-        pair_amp_conj=mo.pair.conjugate(),
-        total_n=mo.total_n,
-        diff_n=mo.diff_n,
-        pump_amp=mo.pump,
-        pump_quad=2.0 * mo.pump.real,
-        c_plus=2.0 * mo.pair.real,
-        disp_plus=_dispersion(mo, "plus"),
-        disp_minus=_dispersion(mo, "minus"),
-        conserved_k=mo.conserved_k,
-    )

@@ -92,7 +92,8 @@ def evolve(s0, spec):
 
     Observables are recorded every record_every steps (always including the
     initial and final times).  Raises IntegrationDivergedError naming the
-    step if any amplitude becomes non-finite.  The work runs on the occupied
+    step if any amplitude becomes non-finite, or if a recorded moment
+    overflows the float range.  The work runs on the occupied
     n1 - n2 sectors of s0 only (see ``kernels``).
     """
     sectors = kernels.gather(s0.grid())
@@ -113,7 +114,11 @@ def evolve(s0, spec):
             raise IntegrationDivergedError(f"non-finite amplitude at step {k + 1}")
         if (k + 1) % spec.record_every == 0 or k + 1 == spec.steps:
             times.append((k + 1) * spec.dt)
-            obs.append(measure(sectors))
+            try:
+                obs.append(measure(sectors))
+            except OverflowError:
+                # finite amplitudes whose squared moments exceed the float range
+                raise IntegrationDivergedError(f"moments overflow at step {k + 1}") from None
             norms.append(float(np.linalg.norm(psi)))
             leaks.append(leak)
 

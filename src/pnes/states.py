@@ -74,15 +74,6 @@ def bessel_i0(z):
             return total
 
 
-def _pair_state(diag, d):
-    """PureState on config (1, d, d) with given amplitudes on |n,n>."""
-    cfg = TruncationConfig(1, d, d)
-    amps = np.zeros(cfg.dim, dtype=np.complex128)
-    amps[np.arange(d) * d + np.arange(d)] = diag
-    amps /= np.linalg.norm(amps)
-    return PureState(cfg, amps)
-
-
 def twb(x, d):
     """Twin-beam (two-mode squeezed vacuum): amplitudes sqrt(1-x^2) x^n on |n,n>."""
     if not 0 <= x < 1:
@@ -92,7 +83,7 @@ def twb(x, d):
         raise DimensionTooSmallError(
             f"twb tail mass {tail:.3e} at d={d} exceeds {TAIL_TOL:.0e}; increase d"
         )
-    return _pair_state(math.sqrt(1.0 - x * x) * x ** np.arange(d), d)
+    return pnes(math.sqrt(1.0 - x * x) * x ** np.arange(d), d)
 
 
 def tmc(lam, d):
@@ -104,9 +95,7 @@ def tmc(lam, d):
     if not np.isfinite(lam) or lam < 0:
         raise ValidationError(f"tmc parameter must be finite and >= 0, got {lam!r}")
     if lam == 0.0:
-        diag = np.zeros(d)
-        diag[0] = 1.0
-        return _pair_state(diag, d)
+        return pnes([1.0], d)
     n = np.arange(d)
     # lambda^n / n! in log space; stable for lambda^n past overflow
     log_c = n * math.log(lam) - np.array([math.lgamma(k + 1) for k in range(d)])
@@ -117,7 +106,7 @@ def tmc(lam, d):
         raise DimensionTooSmallError(
             f"tmc tail mass {tail:.3e} at d={d} exceeds {TAIL_TOL:.0e}; increase d"
         )
-    return _pair_state(np.exp(log_c - np.max(log_c)), d)
+    return pnes(np.exp(log_c - np.max(log_c)), d)
 
 
 def pnes(c, d):
@@ -133,9 +122,11 @@ def pnes(c, d):
         raise ValidationError("pnes coefficients must be finite")
     if d < c.size:
         raise ValidationError(f"dimension {d} smaller than coefficient count {c.size}")
-    diag = np.zeros(d, dtype=np.complex128)
-    diag[: c.size] = c
-    return _pair_state(diag, d)
+    cfg = TruncationConfig(1, d, d)
+    amps = np.zeros(cfg.dim, dtype=np.complex128)
+    amps[np.arange(c.size) * (d + 1)] = c
+    amps /= np.linalg.norm(amps)
+    return PureState(cfg, amps)
 
 
 def min_dimension_twb(x):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import pnes
-from pnes.cli import main, read_config_file, validate_config
+from pnes.cli import _build_profile, main, read_config_file, validate_config
 from pnes.errors import ValidationError
+from pnes.meanfield import tau_of_t
 
 
 def write_cfg(path, text):
@@ -135,6 +136,67 @@ class TestEvolveExact:
         main(["evolve-exact", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("family, param", [("twb", 0.3), ("tmc", 0.5)])
+    def test_pair_families_conserve(self, tmp_path, family, param):
+        text = EVOLVE_EXACT_CFG.replace("vacuum", f"{family}\nparam = {param}")
+        cfg = write_cfg(tmp_path / "c.cfg", text.replace("pair_dim = 10", "pair_dim = 16"))
+        out = tmp_path / "out.csv"
+        assert main(["evolve-exact", "--config", cfg, "--out", str(out)]) == 0
+        header, columns, rows = read_csv(out)
+        assert header["family"] == family
+        i_diff = columns.index("diff_n")
+        i_k = columns.index("conserved_k")
+        diffs = [abs(float(r[i_diff])) for r in rows]
+        ks = [float(r[i_k]) for r in rows]
+        assert max(diffs) < 1e-10
+        assert max(ks) - min(ks) < 1e-9
+        # the pair state is really there: <N> > 0 from the first row
+        assert float(rows[0][columns.index("total_n")]) > 0.1
+
+    def test_unknown_family_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_EXACT_CFG.replace("vacuum", "squeezed"))
+        assert main(["evolve-exact", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert "squeezed" in record["message"]
+
+    def test_pump_cutoff_rejected(self, tmp_path, capsys):
+        text = EVOLVE_EXACT_CFG.replace("alpha = 2", "alpha = 4\nd0 = 3")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out.csv"
+        assert main(["evolve-exact", "--config", cfg, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "DimensionTooSmallError"
+        for part in ("d0=3", "alpha=4", "tail mass 1.000e+00"):
+            assert part in record["message"]
+        assert not out.exists()
+
+    def test_diverging_run_exits_2(self, tmp_path, capsys):
+        text = """
+family = vacuum
+alpha = 2
+chi = 1
+pair_dim = 4
+dt = 1000000
+steps = 50
+"""
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out.csv"
+        with pytest.warns(RuntimeWarning, match="smaller step"):
+            assert main(["evolve-exact", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "IntegrationDivergedError"
+        assert "at step" in record["message"]
+        assert not out.exists()
+
+    def test_stdout_without_out(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_EXACT_CFG)
+        out = tmp_path / "out.csv"
+        assert main(["evolve-exact", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["evolve-exact", "--config", cfg]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
 
 class TestEvolveModel:
     def test_rectangular_tau_column(self, tmp_path):
@@ -170,6 +232,45 @@ class TestEvolveModel:
         assert len(doc["rows"]) == 12
         assert len(doc["rows"][0]) == len(doc["columns"])
 
+    @pytest.mark.parametrize("text", [
+        "profile = gaussian\namplitude = 1\ncenter = 2\nwidth = 0.7\n",
+        "profile = sampled\nprofile_times = 0, 1, 3\nprofile_values = 0, 1.5, 0.5\n",
+        "profile = constant\namplitude = 0.8\nassume_zero_initial = yes\n",
+    ], ids=["gaussian", "sampled", "constant"])
+    def test_tau_column_matches_tau_of_t(self, tmp_path, text):
+        text += "chi = 0.2\nt_start = 0\nt_stop = 2.5\nn_points = 11\n"
+        if "gaussian" in text:
+            text = text.replace("t_start = 0", "t_start = -6")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out.csv"
+        assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        profile = _build_profile(validate_config("evolve-model", read_config_file(cfg)))
+        i_t, i_tau = columns.index("t"), columns.index("tau")
+        assert len(rows) == 11
+        for r in rows:
+            assert abs(float(r[i_tau]) - tau_of_t(profile, 0.2, float(r[i_t]))) < 1e-12
+
+    def test_sampled_past_last_sample_rejected(self, tmp_path, capsys):
+        text = ("profile = sampled\nprofile_times = 0, 1, 2\nprofile_values = 0, 1, 0\n"
+                "chi = 0.2\nt_start = 0\nt_stop = 3\nn_points = 7\n")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ExtrapolationError"
+
+    def test_unknown_profile_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_MODEL_CFG.replace("rectangular", "sawtooth"))
+        assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert "sawtooth" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_assume_zero_initial_must_be_boolean(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_MODEL_CFG + "assume_zero_initial = maybe\n")
+        assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert "assume_zero_initial" in record["message"]
+
 
 class TestCompare:
     def test_deviation_small_and_zero_at_start(self, tmp_path):
@@ -188,6 +289,15 @@ class TestCompare:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValidationError"
         assert "whole number of steps" in record["message"]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_pump_cutoff_rejected(self, tmp_path, capsys):
+        text = COMPARE_CFG.replace("alpha = 5", "alpha = 4\nd0 = 3")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "DimensionTooSmallError"
+        assert "d0=3" in record["message"]
         assert not (tmp_path / "out.csv").exists()
 
 
@@ -262,6 +372,17 @@ class TestScan:
 
 def test_import_does_not_load_the_process_pool():
     code = "import sys, pnes.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(pnes.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert run.stdout.strip() == "False"
+
+
+def test_evolve_exact_does_not_load_numpy_ma(tmp_path):
+    cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_EXACT_CFG)
+    argv = ["evolve-exact", "--config", cfg, "--out", str(tmp_path / "o.csv")]
+    code = (f"import sys, pnes.cli; assert pnes.cli.main({argv!r}) == 0; "
+            "print('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(pnes.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
