@@ -18,7 +18,7 @@ from .fock import (
     apply_interaction_generator,
     inner,
 )
-from .states import coherent, twb, tmc, pnes, bessel_i0, product_state
+from .states import coherent, twb, tmc, pnes, product_state
 from .observables import measure, ObservableSet
 from .propagator import EvolutionSpec, ExactTrajectory, evolve, rate_of
 from .meanfield import (
@@ -52,7 +52,6 @@ __all__ = [
     "twb",
     "tmc",
     "pnes",
-    "bessel_i0",
     "product_state",
     "measure",
     "ObservableSet",

@@ -6,9 +6,9 @@
 Configs are flat ``key = value`` files; unknown keys are errors and every
 violation is reported, not just the first.  Outputs are deterministic:
 identical configs produce byte-identical files.  Exit codes: 0 success,
-1 validation error, 2 numerical failure, 3 partial scan failure.  ``scan``
-runs its points serially; ``--workers N`` with N > 1 spreads them over a
-process pool.
+1 validation or usage error, 2 numerical failure, 3 partial scan failure.
+``scan`` runs its points serially; ``--workers N`` with N > 1 spreads them
+over a process pool.
 """
 
 import argparse
@@ -360,16 +360,21 @@ def _error_record(exc):
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 with the JSON record, not 2
+        raise ValidationError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="pnes", description=__doc__)
+    parser = _ArgumentParser(prog="pnes", description=__doc__)
     parser.add_argument("command", choices=sorted(SCHEMAS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         raw = read_config_file(args.config)

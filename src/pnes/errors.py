@@ -18,10 +18,6 @@ class NumericalError(RuntimeError):
     """Numerical failure during a computation that started with valid inputs."""
 
 
-class IntegrationDivergedError(NumericalError):
-    """A state amplitude became NaN/inf during time integration."""
-
-
 class NoisyDerivativeError(NumericalError):
     """Richardson-extrapolated finite difference did not converge.
 

@@ -69,10 +69,11 @@ class PureState:
     """Normalized amplitude vector over the three-mode Fock basis.
 
     ``leakage`` accumulates an estimate of the probability discarded at
-    the truncation boundary.  Evolution on the truncated box is itself
-    norm-preserving, and the propagator's estimate (dt^2 times the boundary
-    flux per step) grows with dt, so |amplitudes|^2 + leakage stays near 1
-    only while no probability reaches the cutoff edge.
+    the truncation boundary.  Evolution on the truncated box is exact and
+    norm-preserving, so |amplitudes|^2 stays 1 to rounding; the propagator's
+    estimate (dt^2 times the boundary flux per step) comes on top and grows
+    with dt, so |amplitudes|^2 + leakage stays near 1 only while no
+    probability reaches the cutoff edge.
     """
 
     config: TruncationConfig

@@ -1,4 +1,4 @@
-"""Hot kernels for the trilinear interaction generator, on the sector layout.
+"""Kernels of the trilinear interaction generator, on the sector layout.
 
 The generator in the resonant rotating frame is
 
@@ -23,7 +23,9 @@ every sector occupied costs less than twice the dense (d0, d1, d2) grid.
 ``SectorLayout`` holds the index maps and every weight the kernels and the
 observables use, built once per (shape, sector set) and cached; weights are
 zero on padding and on the box edges.  ``gather`` and ``scatter`` convert
-between a dense grid and this layout.
+between a dense grid and this layout.  The propagator diagonalizes G on
+each chain K = n0 + m from the hop weights; ``apply_generator`` serves the
+equation-of-motion rate and ``fock.apply_interaction_generator``.
 """
 
 from functools import lru_cache
@@ -142,8 +144,8 @@ def apply_pair_quadrature(psi, out, layout):
 def discard_flux_sq(psi, chi, layout):
     """Squared norm of the component of G psi that falls outside the cutoff box.
 
-    Used by the propagator to account leakage: one Euler step of length dt
-    sends ~ dt^2 * discard_flux_sq(psi) of probability out of the box.
+    The propagator adds dt^2 * discard_flux_sq(psi) per step to its leakage
+    estimate: what one Euler step of length dt would send out of the box.
     Zero whenever psi is supported strictly inside the cutoff boundary.
     """
     pump_edge = np.sum(layout.pump_edge_w * np.abs(psi[-1]) ** 2)

@@ -1,31 +1,28 @@
 """Exact time evolution under the trilinear interaction.
 
-The state is integrated in the resonant rotating frame, d psi/dt = G psi
-with G = chi (a1+ a2+ a0 - a1 a2 a0+); the free-Hamiltonian terms are
-removed analytically (at resonance they only rotate phases jointly and
-commute with the interaction).  The integrator is classical fixed-step
-RK4; tests check it against exp(G t) built by eigendecomposition and
-against the two-state rotation.
+The state evolves in the resonant rotating frame, d psi/dt = G psi with
+G = chi (a1+ a2+ a0 - a1 a2 a0+); the free-Hamiltonian terms are removed
+analytically (at resonance they only rotate phases jointly and commute
+with the interaction).
 
-G conserves n1 - n2, so ``evolve`` gathers only the occupied n1 - n2 sectors
-of the initial state into the stacked sector array of ``kernels`` and runs
-the integrator, the leakage sum and every ``measure`` there; the other
-sectors stay exactly zero.  The dense PureState is rebuilt only for the
-final state.
-
-Norm renormalization is never applied silently: drift is reported on the
-trajectory, and leakage through the cutoff boundary is accounted per step
-from the generator's boundary flux.
+G conserves n1 - n2, so ``evolve`` works on the occupied sectors only, as
+psi[n0, m, j] (see ``kernels``).  There G only hops (n0 + 1, m) <-> (n0, m + 1),
+so each chain K = n0 + m of cells x_c = psi[K - m, m, j] evolves alone under a
+real antisymmetric tridiagonal matrix with off-diagonal chi * hop[K - m - 1, m, j].
+That matrix is D (-i S) D^-1 with D = diag(i^c) and S real symmetric, so one
+``np.linalg.eigh`` per chain, S = V diag(w) V^T, gives the exact propagator
+exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps`` only set the output
+grid.  The norm is reported, never renormalized; the leakage estimate adds
+dt^2 times the squared boundary flux (``kernels.discard_flux_sq``) per step.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import IntegrationDivergedError, NoisyDerivativeError, ValidationError
-from .fock import HamiltonianParams, PureState
+from .errors import NoisyDerivativeError, ValidationError
+from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState
 from .observables import (
     expect_pump_amplitude,
     expect_total_number,
@@ -60,48 +57,63 @@ class ExactTrajectory:
     leakage: float
 
 
-def _stability_check(sectors, spec):
-    # |chi| dt * pump-amplitude scale beyond ~0.1 degrades rk4 accuracy
-    scale = max(1.0, abs(expect_pump_amplitude(sectors)))
-    if spec.params.chi * abs(spec.dt) * scale > 0.1:
-        warnings.warn(
-            f"chi*dt*pump_scale = {spec.params.chi * abs(spec.dt) * scale:.3g} > 0.1; "
-            "consider a smaller step",
-            RuntimeWarning,
-            stacklevel=3,
+def _chain_stepper(sectors, chi, dt):
+    """A function that advances the psi of ``sectors`` by exp(G dt) per call.
+
+    It keeps one large array, the eigenvectors V of every chain, shape
+    (d0 + M - 1, J, L, L): the chains' S are filled into V and diagonalized
+    there one chain at a time.  ValidationError, before any eigh, if V would
+    exceed 2 * MAX_TOTAL_DIM float64, as many bytes as the largest dense state.
+    """
+    psi, layout = sectors
+    d0, M, J = psi.shape
+    L = min(d0, M)
+    if (d0 + M - 1) * J * L * L > 2 * MAX_TOTAL_DIM:
+        raise ValidationError(
+            f"the chain eigenvectors of {J} n1 - n2 sectors on a {d0} x {M} box "
+            f"exceed {2 * MAX_TOTAL_DIM} float64"
         )
+    # chain K = n0 + m of each cell, and its position c from m = max(0, K - d0 + 1)
+    chain = np.arange(d0)[:, None] + np.arange(M)
+    pos = np.arange(M) - np.maximum(0, chain - d0 + 1)
+    # hop[a, m] joins (a + 1, m), at some c of chain a + m + 1, to (a, m + 1) at c + 1;
+    # eigh reads only the lower triangle
+    c = pos[1:, :-1]
+    V = np.zeros((d0 + M - 1, J, L, L))
+    V[chain[1:, :-1], :, c + 1, c] = chi * layout.hop
+    w = np.zeros((d0 + M - 1, J, L))
+    for k, n in enumerate(np.bincount(chain.ravel())):  # n cells, then zero padding
+        w[k, :, :n], V[k, :, :n, :n] = np.linalg.eigh(V[k, :, :n, :n])
 
+    d = np.array([1, 1j, -1, -1j])[np.arange(L) % 4]  # D = diag(i^c)
+    x = np.zeros((d0 + M - 1, J, L), dtype=np.complex128)
+    x[chain, :, pos] = psi
+    x *= d.conj()
+    # V is real: it multiplies real and imaginary parts as two real columns,
+    # the float64 view of a complex array
+    columns = np.matmul(V.swapaxes(-1, -2), x.view(np.float64).reshape(*x.shape, 2))
+    coef = columns.view(np.complex128)[..., 0]
+    rotation = np.exp(-1j * dt * w)
 
-def _rk4_step(psi, chi, dt, scratch, layout):
-    k1, k2, k3, k4, tmp = scratch
-    kernels.apply_generator(psi, chi, k1, layout)
-    np.multiply(k1, 0.5 * dt, out=tmp)
-    tmp += psi
-    kernels.apply_generator(tmp, chi, k2, layout)
-    np.multiply(k2, 0.5 * dt, out=tmp)
-    tmp += psi
-    kernels.apply_generator(tmp, chi, k3, layout)
-    np.multiply(k3, dt, out=tmp)
-    tmp += psi
-    kernels.apply_generator(tmp, chi, k4, layout)
-    psi += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def step():
+        np.multiply(coef, rotation, out=coef)  # rotates columns, which coef views
+        return (np.matmul(V, columns).view(np.complex128)[..., 0] * d)[chain, :, pos]
+
+    return step
 
 
 def evolve(s0, spec):
-    """Integrate d psi/dt = G psi from s0 over spec.steps steps of spec.dt.
+    """exp(G t) s0 at t = dt, 2 dt, ..., steps * dt, exact at each time.
 
     Observables are recorded every record_every steps (always including the
-    initial and final times).  Raises IntegrationDivergedError naming the
-    step if any amplitude becomes non-finite, or if a recorded moment
-    overflows the float range.  The work runs on the occupied
-    n1 - n2 sectors of s0 only (see ``kernels``).
+    initial and final times).  Raises ValidationError when the chains'
+    eigenvectors would not fit (see ``_chain_stepper``).
     """
     sectors = kernels.gather(s0.grid())
     psi, layout = sectors
-    _stability_check(sectors, spec)
     chi = spec.params.chi
+    step = _chain_stepper(sectors, chi, spec.dt)
     leak = s0.leakage
-    scratch = [np.empty_like(psi) for _ in range(5)]
 
     times = [0.0]
     obs = [measure(sectors)]
@@ -109,19 +121,14 @@ def evolve(s0, spec):
     leaks = [leak]
     for k in range(spec.steps):
         leak += spec.dt * spec.dt * kernels.discard_flux_sq(psi, chi, layout)
-        _rk4_step(psi, chi, spec.dt, scratch, layout)
-        if not np.all(np.isfinite(psi)):
-            raise IntegrationDivergedError(f"non-finite amplitude at step {k + 1}")
+        psi = step()
         if (k + 1) % spec.record_every == 0 or k + 1 == spec.steps:
             times.append((k + 1) * spec.dt)
-            try:
-                obs.append(measure(sectors))
-            except OverflowError:
-                # finite amplitudes whose squared moments exceed the float range
-                raise IntegrationDivergedError(f"moments overflow at step {k + 1}") from None
+            obs.append(measure(kernels.Sectors(psi, layout)))
             norms.append(float(np.linalg.norm(psi)))
             leaks.append(leak)
 
+    del step  # frees V before the dense final state is built
     final = PureState(s0.config, kernels.scatter(psi, layout).reshape(-1), leak)
     norms_arr = np.asarray(norms)
     drift = float(np.max(np.abs(norms_arr**2 + np.asarray(leaks) - 1.0)))
@@ -148,14 +155,6 @@ OBSERVABLE_SELECTORS = {
     "conserved_k": lambda s: measure(s).conserved_k,
 }
 
-_FD_SUBSTEPS = 4
-
-
-def _observable_after(s0, params, f, t):
-    spec = EvolutionSpec(params, dt=t / _FD_SUBSTEPS, steps=_FD_SUBSTEPS,
-                         record_every=_FD_SUBSTEPS)
-    return f(evolve(s0, spec).final_state)
-
 
 def default_fd_step(s0, params):
     """h = 1e-3 / (chi * max(1, pump amplitude, <N>))."""
@@ -168,8 +167,8 @@ def rate_of(s0, params, f, h=None, tol=1e-4):
     """d<f>/dt at t=0 by Richardson-extrapolated central differences.
 
     f is a callable on PureState or a key of OBSERVABLE_SELECTORS.  Central
-    differences with steps h and h/2 are combined to fourth order; backward
-    evolution reuses the same time-independent generator with negative dt.
+    differences with steps h and h/2 are combined to fourth order; each
+    side is one exact evolution over +h or -h.
     Raises NoisyDerivativeError (carrying both estimates) when the two
     step sizes disagree beyond tol.
     """
@@ -189,8 +188,8 @@ def rate_of(s0, params, f, h=None, tol=1e-4):
         return 0.0
 
     def central(step):
-        fp = _observable_after(s0, params, f, +step)
-        fm = _observable_after(s0, params, f, -step)
+        fp, fm = (f(evolve(s0, EvolutionSpec(params, dt=t, steps=1)).final_state)
+                  for t in (step, -step))
         return (fp - fm) / (2.0 * step)
 
     d_h = central(h)

@@ -53,27 +53,6 @@ def coherent(alpha, d):
     return CoherentMode(amps, tail, tail > COHERENT_TAIL_WARN)
 
 
-def bessel_i0(z):
-    """Modified Bessel function I0 by its power series.
-
-    Terms (z/2)^{2k} / (k!)^2 are accumulated until one falls below
-    1e-16 of the running sum.  Supported for 0 <= z <= 60.
-    """
-    if not np.isfinite(z) or z < 0:
-        raise ValidationError(f"z must be finite and >= 0, got {z!r}")
-    if z > 60:
-        raise ValidationError(f"bessel_i0 supports z <= 60, got {z}")
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= (z / 2.0) ** 2 / (k * k)
-        total += term
-        if term < 1e-16 * total:
-            return total
-
-
 def twb(x, d):
     """Twin-beam (two-mode squeezed vacuum): amplitudes sqrt(1-x^2) x^n on |n,n>."""
     if not 0 <= x < 1:
@@ -84,6 +63,13 @@ def twb(x, d):
             f"twb tail mass {tail:.3e} at d={d} exceeds {TAIL_TOL:.0e}; increase d"
         )
     return pnes(math.sqrt(1.0 - x * x) * x ** np.arange(d), d)
+
+
+def _tmc_norm(lam):
+    """I0(2 lambda), the tmc norm; ValidationError past 350, where it nears overflow."""
+    if not 0 <= lam <= 350:
+        raise ValidationError(f"tmc parameter must be in [0, 350], got {lam!r}")
+    return float(np.i0(2 * lam))
 
 
 def tmc(lam, d):
@@ -99,7 +85,7 @@ def tmc(lam, d):
     n = np.arange(d)
     # lambda^n / n! in log space; stable for lambda^n past overflow
     log_c = n * math.log(lam) - np.array([math.lgamma(k + 1) for k in range(d)])
-    norm = bessel_i0(2 * lam)
+    norm = _tmc_norm(lam)
     kept = float(np.sum(np.exp(2.0 * log_c))) / norm
     tail = max(0.0, 1.0 - kept)
     if tail >= TAIL_TOL:
@@ -140,7 +126,7 @@ def min_dimension_tmc(lam):
     """Smallest d keeping the tmc tail below the constructor tolerance."""
     if lam == 0:
         return 1
-    norm = bessel_i0(2 * lam)
+    norm = _tmc_norm(lam)
     kept = 0.0
     for n in range(400):
         kept += math.exp(2 * (n * math.log(lam) - math.lgamma(n + 1)))

@@ -171,7 +171,7 @@ class TestEvolveExact:
             assert part in record["message"]
         assert not out.exists()
 
-    def test_diverging_run_exits_2(self, tmp_path, capsys):
+    def test_huge_step_stays_exact(self, tmp_path, capsys):
         text = """
 family = vacuum
 alpha = 2
@@ -182,12 +182,14 @@ steps = 50
 """
         cfg = write_cfg(tmp_path / "c.cfg", text)
         out = tmp_path / "out.csv"
-        with pytest.warns(RuntimeWarning, match="smaller step"):
-            assert main(["evolve-exact", "--config", cfg, "--out", str(out)]) == 2
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "IntegrationDivergedError"
-        assert "at step" in record["message"]
-        assert not out.exists()
+        assert main(["evolve-exact", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, columns, rows = read_csv(out)
+        assert len(rows) == 51
+        norms = [float(r[columns.index("norm")]) for r in rows]
+        ks = [float(r[columns.index("conserved_k")]) for r in rows]
+        assert max(abs(n - 1.0) for n in norms) < 1e-12
+        assert max(abs(k - ks[0]) for k in ks) < 1e-9
 
     def test_stdout_without_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_EXACT_CFG)
@@ -258,6 +260,33 @@ class TestEvolveModel:
         assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ExtrapolationError"
+
+    @pytest.mark.parametrize("times", ["0, 1, 2.5", "0, 1, 3"],
+                             ids=["grid-ends-on-last-sample", "kink-inside-interval"])
+    def test_sampled_pump_matches_closed_form(self, tmp_path, times):
+        text = (f"profile = sampled\nprofile_times = {times}\nprofile_values = 0, 1, 0.5\n"
+                "chi = 0.3\nt_start = 0\nt_stop = 2.5\nn_points = 9\n")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out.csv"
+        assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        assert len(rows) == 9
+        for name in ("dLambda", "dN"):
+            assert max(abs(float(r[columns.index(name)])) for r in rows) < 1e-8, name
+
+    def test_long_constant_pump_passes_relative_step_check(self, tmp_path):
+        # N reaches about 670, where the absolute step-halving estimate is 2e-8
+        text = ("profile = constant\namplitude = 1\nchi = 0.6\nt_start = 0\nt_stop = 6\n"
+                "n_points = 50\nassume_zero_initial = yes\n")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out.csv"
+        assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        assert float(rows[-1][columns.index("N_cf")]) > 600
+        for ode, cf in (("Lambda_ode", "Lambda_cf"), ("N_ode", "N_cf")):
+            for r in rows:
+                x, want = float(r[columns.index(ode)]), float(r[columns.index(cf)])
+                assert abs(x - want) / max(1.0, abs(want)) < 1e-8, ode
 
     def test_unknown_profile_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_MODEL_CFG.replace("rectangular", "sawtooth"))
@@ -398,3 +427,26 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["dispersion", "--config", str(tmp_path / "absent.cfg")]) == 1
+
+    def test_missing_config_option(self, capsys):
+        assert main(["evolve-exact"]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.err)
+        assert record["error"] == "ValidationError"
+        assert "--config" in record["message"]
+        assert captured.out == ""
+
+    def test_malformed_workers(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SCAN_CFG)
+        out = tmp_path / "out.csv"
+        assert main(["scan", "--config", cfg, "--out", str(out), "--workers", "two"]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert "--workers" in record["message"] and "two" in record["message"]
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "evolve-exact" in capsys.readouterr().out

@@ -92,7 +92,6 @@ def test_disp_plus_rate_vanishes_without_coupling(state):
 @settings(max_examples=30, deadline=None)
 @given(sector_states(min_sectors=1), st.floats(0.0, 0.2))
 def test_evolve_keeps_sectors_and_conserved_quantities(state, chi):
-    # chi <= 0.2 holds RK4's norm error per eigenmode of G near 1e-13 over the run
     grid, chosen = state
     s0 = PureState(TruncationConfig(*grid.shape), grid.reshape(-1))
     traj = evolve(s0, EvolutionSpec(HamiltonianParams(chi), dt=0.005, steps=40, record_every=5))
@@ -109,8 +108,6 @@ def test_evolve_keeps_sectors_and_conserved_quantities(state, chi):
 @settings(max_examples=20, deadline=None)
 @given(sector_states(all_sectors=True), st.floats(0.0, 0.25))
 def test_all_sectors_match_dense_exponential(state, chi):
-    # RK4's error on an eigenmode of G grows like chi^5; on (5, 5, 5) it is
-    # 5e-9 at chi = 0.5, so chi <= 0.25 keeps every state below 2e-10
     grid, _ = state
     t, dt = 0.5, 0.005
     s0 = PureState(TruncationConfig(*grid.shape), grid.reshape(-1))
