@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .dispersion import build_report
 from .errors import DimensionTooSmallError, NumericalError, ValidationError
-from .fock import HamiltonianParams
+from .fock import HamiltonianParams, TruncationConfig
 from .meanfield import PumpProfile, closed_form_trajectory, integrate_model
 from .propagator import EvolutionSpec, evolve
 from .states import COHERENT_TAIL_WARN, coherent, pnes, product_state, pump_dimension, tmc, twb
@@ -138,6 +138,8 @@ def validate_config(command, raw):
 
 
 def _fmt(value):
+    if type(value) is float:  # the common case first: every evolve-model cell
+        return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -186,13 +188,14 @@ def _build_exact_state(cfg):
     """
     alpha = cfg["alpha"]
     d0 = cfg["d0"] if cfg["d0"] > 0 else pump_dimension(alpha)
+    d = cfg["pair_dim"]
+    TruncationConfig(d0, d, d)  # refuse an oversized box before building any of it
     pump = coherent(alpha, d0)
     if pump.tail_warning:
         raise DimensionTooSmallError(
             f"pump tail mass {pump.tail_mass:.3e} at d0={d0}, alpha={alpha!r} "
             f"exceeds {COHERENT_TAIL_WARN:.0e}; increase d0"
         )
-    d = cfg["pair_dim"]
     if cfg["family"] == "vacuum":
         pair = pnes([1.0], d)
     elif cfg["family"] == "twb":
@@ -246,13 +249,10 @@ def cmd_evolve_model(cfg):
     cf = closed_form_trajectory(profile, cfg["chi"], grid)
     columns = ["t", "a", "tau", "Lambda_cf", "N_cf", "Lambda_ode", "N_ode",
                "dLambda", "dN"]
-    rows = []
-    for i, t in enumerate(grid):
-        rows.append([
-            t, profile.amplitude(float(t)), cf.tau[i],
-            cf.Lambda[i], cf.N[i], ode.Lambda[i], ode.N[i],
-            ode.Lambda[i] - cf.Lambda[i], ode.N[i] - cf.N[i],
-        ])
+    rows = np.column_stack((
+        grid, profile.amplitude(grid), cf.tau, cf.Lambda, cf.N, ode.Lambda, ode.N,
+        ode.Lambda - cf.Lambda, ode.N - cf.N,
+    )).tolist()
     return columns, rows
 
 

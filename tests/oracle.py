@@ -3,6 +3,10 @@
 Builds explicit operators by Kronecker products on small configs and
 computes every expectation by matrix algebra.  Deliberately independent of
 the matrix-free code paths it checks.
+
+Also holds the scalar RK4 of the mean-field model (``rk4_model``): one
+Python step per substep and piece, against which the step-matrix form in
+``pnes.meanfield`` is checked.
 """
 
 import numpy as np
@@ -54,3 +58,47 @@ def expect(op, psi):
 
 def dispersion(op, psi):
     return (expect(op @ op, psi) - expect(op, psi) ** 2).real
+
+
+def _rk4_piece(a_fn, chi, t0, t1, lam, n, n_sub):
+    h = (t1 - t0) / n_sub
+    t = t0
+
+    def rhs(t, lam, n):
+        a = a_fn(t)
+        return chi * (n + 1.0) * a, 4.0 * chi * lam * a
+
+    for i in range(n_sub):
+        # the last substep ends exactly at t1, never past a sampled pump's support
+        t_end = t1 if i == n_sub - 1 else t + h
+        k1l, k1n = rhs(t, lam, n)
+        k2l, k2n = rhs(t + 0.5 * h, lam + 0.5 * h * k1l, n + 0.5 * h * k1n)
+        k3l, k3n = rhs(t + 0.5 * h, lam + 0.5 * h * k2l, n + 0.5 * h * k2n)
+        k4l, k4n = rhs(t_end, lam + h * k3l, n + h * k3n)
+        lam += h / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
+        n += h / 6.0 * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+        t = t_end
+    return lam, n
+
+
+def rk4_model(p, chi, t_grid, n_sub):
+    """(Lambda, N) on t_grid from (0, 0) by scalar RK4, n_sub substeps per piece."""
+    lam, n = 0.0, 0.0
+    out_l = [lam]
+    out_n = [n]
+    piecewise_const = p.variant in ("constant", "rectangular")
+    breaks = p.breakpoints()
+    for i in range(len(t_grid) - 1):
+        t0, t1 = float(t_grid[i]), float(t_grid[i + 1])
+        # split at the profile's kinks and jumps so every rk4 step sees a smooth rhs
+        edges = [t0] + [b for b in breaks if t0 < b < t1] + [t1]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if piecewise_const:
+                a_mid = p.amplitude(0.5 * (lo + hi))
+                a_fn = lambda t, a=a_mid: a
+            else:
+                a_fn = p.amplitude
+            lam, n = _rk4_piece(a_fn, chi, lo, hi, lam, n, n_sub)
+        out_l.append(lam)
+        out_n.append(n)
+    return np.asarray(out_l), np.asarray(out_n)

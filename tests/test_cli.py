@@ -407,15 +407,51 @@ def test_import_does_not_load_the_process_pool():
     assert run.stdout.strip() == "False"
 
 
-def test_evolve_exact_does_not_load_numpy_ma(tmp_path):
-    cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_EXACT_CFG)
-    argv = ["evolve-exact", "--config", cfg, "--out", str(tmp_path / "o.csv")]
+def _loads_numpy_ma(tmp_path, command, cfg_text):
+    """Whether a fresh interpreter imports numpy.ma while running one command."""
+    cfg = write_cfg(tmp_path / "c.cfg", cfg_text)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o.csv")]
     code = (f"import sys, pnes.cli; assert pnes.cli.main({argv!r}) == 0; "
             "print('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(pnes.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
-    assert run.stdout.strip() == "False"
+    return run.stdout.strip() == "True"
+
+
+def test_evolve_exact_does_not_load_numpy_ma(tmp_path):
+    assert not _loads_numpy_ma(tmp_path, "evolve-exact", EVOLVE_EXACT_CFG)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve-model", "profile = gaussian\namplitude = 1\ncenter = 2\nwidth = 0.7\n"
+                     "chi = 0.2\nt_start = -6\nt_stop = 2.5\nn_points = 11\n"),
+    ("evolve-model", "profile = sampled\nprofile_times = 0, 1, 3\nprofile_values = 0, 1, 0.5\n"
+                     "chi = 0.3\nt_start = 0\nt_stop = 2.5\nn_points = 9\n"),
+    ("scan", SCAN_CFG),
+], ids=["evolve-model-gaussian", "evolve-model-sampled-kink", "scan"])
+def test_does_not_load_numpy_ma(tmp_path, command, text):
+    assert not _loads_numpy_ma(tmp_path, command, text)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve-exact", EVOLVE_EXACT_CFG + "d0 = 5000000\n"),
+    ("evolve-exact", EVOLVE_EXACT_CFG.replace("alpha = 2", "alpha = 3000")),
+    ("compare", COMPARE_CFG + "d0 = 5000000\n"),
+], ids=["evolve-exact", "evolve-exact-default-d0", "compare"])
+def test_oversized_box_rejected_before_building_the_pump(tmp_path, capsys, monkeypatch,
+                                                         command, text):
+    def coherent(alpha, d):
+        raise AssertionError(f"built a pump of {d} levels")
+
+    monkeypatch.setattr(pnes.cli, "coherent", coherent)
+    cfg = write_cfg(tmp_path / "c.cfg", text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValidationError"
+    assert "exceeds the supported maximum" in record["message"]
+    assert not out.exists()
 
 
 class TestExitCodes:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import rk4_model
 from pnes.errors import ExtrapolationError, ValidationError
 from pnes.meanfield import (
     PumpProfile,
@@ -20,12 +23,74 @@ def gaussian_with_area(area, width, center=0.0):
     return PumpProfile.gaussian(area / (math.sqrt(2 * math.pi) * width), center, width)
 
 
+# no tiny chi or amplitude: a subnormal N has no relative precision to keep
+normal_or_zero = st.floats(0.0, 1.0).map(lambda x: x if x >= 1e-6 else 0.0)
+
+
+@st.composite
+def model_cases(draw):
+    """(profile, chi, grid): a random increasing grid, the profile's breakpoints
+    falling both on grid points and inside grid intervals."""
+    steps = draw(st.lists(st.floats(0.05, 0.5), min_size=1, max_size=9))
+    grid = np.concatenate(([0.0], np.cumsum(steps)))
+
+    def point(first):  # a grid point at index >= first, or a point inside a later interval
+        i = draw(st.integers(first, grid.size - 1))
+        if i == grid.size - 1 or draw(st.booleans()):
+            return i, float(grid[i])
+        return i, float(grid[i] + draw(st.floats(0.1, 0.9)) * (grid[i + 1] - grid[i]))
+
+    variant = draw(st.sampled_from(["constant", "rectangular", "gaussian", "sampled"]))
+    amp = draw(normal_or_zero)
+    if variant in ("constant", "rectangular"):
+        i0, zero = point(0)
+        grid = grid - zero  # the pump switches on at a grid point or inside an interval
+        if variant == "rectangular" and i0 < grid.size - 1:
+            p = PumpProfile.rectangular(amp, point(i0 + 1)[1])
+        else:
+            p = PumpProfile.constant(amp)
+    elif variant == "gaussian":
+        width = draw(st.floats(4.0, 8.0)) * max(steps)  # substeps follow chi * a * dt, not width
+        # the grid starts in the far left tail (z from 7 to 14) or near the peak
+        z0 = draw(st.one_of(st.floats(7.0, 14.0), st.floats(-1.0, 7.0)))
+        p = PumpProfile.gaussian(amp, z0 * width, width)
+    else:
+        times = sorted({point(0)[1] for _ in range(draw(st.integers(1, 5)))}
+                       | {float(grid[-1]) + draw(st.sampled_from([0.0, 0.3]))})
+        if len(times) == 1:
+            times.insert(0, times[0] - 1.0)
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))
+        if times[0] > grid[0]:
+            values[0] = 0.0  # no jump where the support starts: RK4 would step across it
+        p = PumpProfile.sampled(times, values)
+    return p, draw(normal_or_zero), grid
+
+
 class TestPumpProfile:
     def test_rectangular_amplitude(self):
         p = PumpProfile.rectangular(2.0, 1.5)
         assert p.amplitude(-0.1) == 0.0
         assert p.amplitude(0.7) == 2.0
         assert p.amplitude(1.6) == 0.0
+
+    @pytest.mark.parametrize("p", [
+        PumpProfile.constant(0.7),
+        PumpProfile.rectangular(1.3, 1.0),
+        PumpProfile.gaussian(2.0, 0.4, 0.3),
+        PumpProfile.sampled([-0.5, 0.25, 1.0], [0.4, 2.0, 0.1]),
+    ], ids=lambda p: p.variant)
+    def test_array_matches_scalar_calls(self, p):
+        t = np.array([-2.0, -0.5, -0.1, 0.0, 0.25, 0.3, 0.77, 1.0])
+        a = p.amplitude(t)
+        assert isinstance(a, np.ndarray) and a.shape == t.shape
+        scalars = [p.amplitude(float(x)) for x in t]
+        assert all(type(s) is float for s in scalars)
+        assert a.tolist() == scalars
+
+    def test_sampled_array_past_support_raises(self):
+        p = PumpProfile.sampled([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ExtrapolationError):
+            p.amplitude(np.array([0.5, 1.0, 1.5]))
 
     def test_sampled_interpolates(self):
         p = PumpProfile.sampled([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
@@ -163,6 +228,32 @@ class TestIntegrateModel:
         p = PumpProfile.rectangular(1.0, 2.0)
         with pytest.raises(ValidationError):
             integrate_model(p, 0.1, np.array([0.0, -1.0, 1.0]), assume_zero_initial=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_cases())
+def test_integrate_model_matches_scalar_rk4(case):
+    p, chi, grid = case
+    ode = integrate_model(p, chi, grid, assume_zero_initial=True)
+    n_sub = max(4, math.ceil(400.0 * chi * p.peak() * float(np.max(np.diff(grid)))))
+    lam, n = rk4_model(p, chi, grid, 2 * n_sub)
+    for got, want in ((ode.Lambda, lam), (ode.N, n)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    # the pump's tail: N keeps its relative precision, it does not cancel to 0
+    tail = (n > 0) & (n < 1e-20)
+    for got, want in ((ode.Lambda[tail], lam[tail]), (ode.N[tail], n[tail])):
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+def test_gaussian_tail_keeps_relative_precision():
+    p = PumpProfile.gaussian(1.0, 5.0, 1.0)
+    grid = np.linspace(-10.0, 10.0, 800)
+    ode = integrate_model(p, 0.3, grid)
+    lam, n = rk4_model(p, 0.3, grid, 8)
+    tail = n < 1e-20
+    assert np.count_nonzero(tail) > 200 and np.all(n[1:] > 0)
+    assert np.all(np.abs(ode.N[tail] - n[tail]) <= 1e-9 * n[tail])
+    assert np.all(np.abs(ode.Lambda[tail] - lam[tail]) <= 1e-9 * lam[tail])
 
 
 class TestTwbEmbedding:
