@@ -9,15 +9,7 @@ coherently-correlated (TMC) initial states.
 
 __version__ = "0.1.0"
 
-from .fock import (
-    TruncationConfig,
-    PureState,
-    HamiltonianParams,
-    basis_index,
-    apply_ladder,
-    apply_interaction_generator,
-    inner,
-)
+from .fock import TruncationConfig, PureState, HamiltonianParams, basis_index
 from .states import coherent, twb, tmc, pnes, product_state
 from .observables import measure, ObservableSet
 from .propagator import EvolutionSpec, ExactTrajectory, evolve, rate_of
@@ -45,9 +37,6 @@ __all__ = [
     "PureState",
     "HamiltonianParams",
     "basis_index",
-    "apply_ladder",
-    "apply_interaction_generator",
-    "inner",
     "coherent",
     "twb",
     "tmc",

@@ -98,38 +98,34 @@ def model_rate_from_trajectory(family, param, chi, alpha):
     return 4.0 * chi * param * alpha
 
 
-def default_truncation(family, param, alpha, margin=2):
-    """Cutoffs holding constructor tails below 1e-12 with a small pair margin."""
+def default_truncation(family, param, alpha):
+    """Cutoffs holding constructor tails below 1e-12 with a margin of two pair levels."""
     d0 = pump_dimension(alpha)
     if family == "twb":
         d = min_dimension_twb(param)
     else:
         d = min_dimension_tmc(param)
-    d = d + margin
-    return TruncationConfig(d0, d, d)
+    return TruncationConfig(d0, d + 2, d + 2)
 
 
-def _make_state(family, param, alpha, trunc):
+def _make_state(family, param, alpha):
+    trunc = default_truncation(family, param, alpha)
     pump = coherent(alpha, trunc.d0)
     pair = twb(param, trunc.d1) if family == "twb" else tmc(param, trunc.d1)
     return product_state(pump, pair)
 
 
-def exact_rate(family, param, chi, alpha, trunc=None):
+def exact_rate(family, param, chi, alpha):
     """dD_{C+}/dt at t=0 on coherent(alpha) x family(param), from the equation of motion."""
     _check_point(family, param, chi, alpha)
-    if trunc is None:
-        trunc = default_truncation(family, param, alpha)
-    return disp_plus_rate(_make_state(family, param, alpha, trunc), chi)
+    return disp_plus_rate(_make_state(family, param, alpha), chi)
 
 
-def exact_rate_fd(family, param, chi, alpha, trunc=None):
+def exact_rate_fd(family, param, chi, alpha):
     """Finite-difference dD_{C+}/dt at t=0 on coherent(alpha) x family(param)."""
     _check_point(family, param, chi, alpha)
-    if trunc is None:
-        trunc = default_truncation(family, param, alpha)
-    s0 = _make_state(family, param, alpha, trunc)
-    return rate_of(s0, HamiltonianParams(chi), "disp_plus")
+    s0 = _make_state(family, param, alpha)
+    return rate_of(s0, HamiltonianParams(chi), lambda s: measure(s).disp_plus)
 
 
 def diagnostic_simple_rate(s, chi):
@@ -138,16 +134,14 @@ def diagnostic_simple_rate(s, chi):
     return 2.0 * chi * o.pump_quad * o.c_plus
 
 
-def build_report(family, param, chi, alpha, trunc=None):
+def build_report(family, param, chi, alpha):
     """One comparison point: all four rates plus discrepancy metrics.
 
     rate_exact is ``exact_rate``'s value; the state is built and gathered
     onto the sector layout once for it and for the diagnostic.
     """
     _check_point(family, param, chi, alpha)
-    if trunc is None:
-        trunc = default_truncation(family, param, alpha)
-    s0 = gather(_make_state(family, param, alpha, trunc).grid())
+    s0 = gather(_make_state(family, param, alpha).grid())
     rate = disp_plus_rate(s0, chi)
     p_exact = analytic_rate(family, "exact", param, chi, alpha)
     p_model = analytic_rate(family, "model", param, chi, alpha)

@@ -2,20 +2,19 @@
 
 Amplitudes are stored as a dense complex vector with row-major layout,
 pump index slowest: flat index of |n0, n1, n2> is (n0*d1 + n1)*d2 + n2.
-This is the exchange format of the package.  The interaction generator and
-the moment observables work on the sector layout of ``kernels`` instead,
-which keeps only the occupied n1 - n2 sectors: a PureState is gathered
-into it on the way in and scattered back on the way out.
-Truncation is a hard cutoff with explicit leakage accounting: amplitude
-a raising operator would send to occupation d_m is discarded and its
-squared magnitude added to the state's ``leakage`` field.
+This is the exchange format of the package; this module holds only the
+box, the coupling and the state.  The interaction generator and the
+moments act on the sector layout of ``kernels``, which keeps only the
+occupied n1 - n2 sectors: a PureState is gathered into it on the way in
+and scattered back on the way out.  Truncation is a hard cutoff; the
+state's ``leakage`` field carries the propagator's estimate of the
+probability that reached it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import ValidationError
 
 # keep the dense vector comfortably in memory; 2^26 complex128 = 1 GiB
@@ -95,9 +94,6 @@ class PureState:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self):
-        return PureState(self.config, self.amplitudes.copy(), self.leakage)
-
     def probabilities(self):
         return np.abs(self.grid()) ** 2
 
@@ -115,47 +111,3 @@ def basis_state(n0, n1, n2, cfg):
     amps = np.zeros(cfg.dim, dtype=np.complex128)
     amps[basis_index(n0, n1, n2, cfg)] = 1.0
     return PureState(cfg, amps)
-
-
-def apply_ladder(mode, kind, s):
-    """Apply a_mode (kind='lower') or a_mode^+ (kind='raise') to s.
-
-    Lowering maps |n> -> sqrt(n)|n-1>; raising maps |n> -> sqrt(n+1)|n+1>,
-    with the component directed at the cutoff discarded and its squared
-    magnitude added to leakage.  The result is not renormalized.
-    """
-    if mode not in (0, 1, 2):
-        raise ValidationError(f"mode must be 0, 1 or 2, got {mode!r}")
-    if kind not in ("lower", "raise"):
-        raise ValidationError(f"kind must be 'lower' or 'raise', got {kind!r}")
-    d = s.config.shape[mode]
-    g = np.moveaxis(s.grid(), mode, 0)
-    out = np.zeros_like(g)
-    leak = s.leakage
-    if kind == "lower":
-        # (a psi)[n] = sqrt(n+1) psi[n+1]
-        out[: d - 1] = np.sqrt(np.arange(1, d)).reshape(-1, 1, 1) * g[1:]
-    else:
-        # (a+ psi)[n] = sqrt(n) psi[n-1]; psi[d-1] would go to n=d -> discarded
-        out[1:] = np.sqrt(np.arange(1, d)).reshape(-1, 1, 1) * g[: d - 1]
-        leak += d * float(np.sum(np.abs(g[d - 1]) ** 2))
-    return PureState(s.config, np.moveaxis(out, 0, mode).reshape(-1), leak)
-
-
-def apply_interaction_generator(s, p):
-    """Apply G = chi (a1+ a2+ a0 - a1 a2 a0+) to s.
-
-    G has purely real matrix elements and is antisymmetric on the truncated
-    box, so exact evolution under it preserves the norm.  Leakage is carried
-    through unchanged; the propagator accounts boundary flux separately.
-    """
-    psi, layout = kernels.gather(s.grid())
-    out = kernels.apply_generator(psi, p.chi, np.empty_like(psi), layout)
-    return PureState(s.config, kernels.scatter(out, layout).reshape(-1), s.leakage)
-
-
-def inner(s1, s2):
-    """<s1|s2>, conjugate-linear in the first argument."""
-    if s1.config != s2.config:
-        raise ValidationError(f"config mismatch: {s1.config} vs {s2.config}")
-    return complex(np.vdot(s1.amplitudes, s2.amplitudes))

@@ -25,7 +25,7 @@ observables use, built once per (shape, sector set) and cached; weights are
 zero on padding and on the box edges.  ``gather`` and ``scatter`` convert
 between a dense grid and this layout.  The propagator diagonalizes G on
 each chain K = n0 + m from the hop weights; ``apply_generator`` serves the
-equation-of-motion rate and ``fock.apply_interaction_generator``.
+equation-of-motion rate.
 """
 
 from functools import lru_cache

@@ -200,6 +200,8 @@ def _rk4_pass(p, chi, t_grid, n_sub):
     piecewise_const = p.variant in ("constant", "rectangular")
     if piecewise_const:
         a_mid = p.amplitude(0.5 * (lo + hi))  # holds on the whole piece
+    # a piece ending by the first sample sees the zero before it, not the jump there
+    h_a = np.where(hi > p.times[0], h, 0.0) if p.variant == "sampled" else h
     A = np.array([[0.0, chi, chi], [4.0 * chi, 0.0, 0.0], [0.0, 0.0, 0.0]])
     powers = np.stack([np.linalg.matrix_power(A, j) for j in range(5)]).reshape(5, 9)
     prod = np.eye(3)
@@ -209,7 +211,7 @@ def _rk4_pass(p, chi, t_grid, n_sub):
         if piecewise_const:
             s1 = s2 = s4 = h * a_mid
         else:
-            s1, s2, s4 = (h * p.amplitude(s) for s in (t, t + 0.5 * h, t_end))
+            s1, s2, s4 = (h_a * p.amplitude(s) for s in (t, t + 0.5 * h, t_end))
         coef = np.stack((np.ones_like(h), (s1 + 4.0 * s2 + s4) / 6.0, s2 * (s1 + s2 + s4) / 6.0,
                          s2 * s2 * (s1 + s4) / 12.0, s1 * s2 * s2 * s4 / 24.0), axis=-1)
         prod = (coef @ powers).reshape(-1, 3, 3) @ prod
@@ -242,7 +244,8 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
 
     Pieces between the grid points and the profile's breakpoints take
     n_sub substeps each; constant and rectangular pieces use the profile's
-    value at the piece's midpoint.  The first grid point must precede the
+    value at the piece's midpoint, and sampled pieces that end by the first
+    sample use 0, the value before it.  The first grid point must precede the
     pump (a(t0) < 1e-14) unless assume_zero_initial declares the vacuum
     start explicitly.  Accuracy is verified by step halving: a disagreement
     above 1e-8 * max(1, |value|) raises StepSizeError.

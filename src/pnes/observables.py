@@ -12,12 +12,13 @@ follows the occupied n1 - n2 sectors, not the dense grid:
     K   = n0 + (n1+n2)/2   conserved total excitation
 
 ``measure`` is the one moment pass: it computes every moment of a state
-together and returns them as an ``ObservableSet``; the single-value
-accessors (``expect_pair_amplitude``, ``pump_quadrature``, ...) read one
-field of it.  A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1)
-and n1 n2), so the dispersions never need a materialized operator and stay
-exact at the cutoff edge.  ``disp_plus_rate`` gives dD_{C+}/dt from the
-equation of motion, with one application of the generator.
+together and returns them as an ``ObservableSet``; read one moment as
+``measure(s).<field>``.  ``expect_pair_amplitude`` and
+``expect_total_number`` read the two fields the model compares against.
+A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1) and n1 n2), so
+the dispersions never need a materialized operator and stay exact at the
+cutoff edge.  ``disp_plus_rate`` gives dD_{C+}/dt from the equation of
+motion, with one application of the generator.
 """
 
 from dataclasses import dataclass
@@ -85,39 +86,8 @@ def expect_pair_amplitude(s):
     return measure(s).pair_amp
 
 
-def expect_pump_amplitude(s):
-    """<a0>."""
-    return measure(s).pump_amp
-
-
 def expect_total_number(s):
     return measure(s).total_n
-
-
-def expect_number_difference(s):
-    return measure(s).diff_n
-
-
-def pump_quadrature(s):
-    """<Q> = <a0 + a0+> = 2 Re<a0>."""
-    return measure(s).pump_quad
-
-
-def conserved_excitation(s):
-    """<K> = <n0 + (n1+n2)/2>, conserved by the trilinear interaction."""
-    return measure(s).conserved_k
-
-
-def pair_quadrature_dispersion(s, sign):
-    """Dispersion of C+ (sign='plus') or C- (sign='minus')."""
-    if sign not in ("plus", "minus"):
-        raise ValidationError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    return measure(s).disp_plus if sign == "plus" else measure(s).disp_minus
-
-
-def c_plus_expectation(s):
-    """<C+> = 2 Re<A>."""
-    return measure(s).c_plus
 
 
 def disp_plus_rate(s, chi):

@@ -23,11 +23,7 @@ import numpy as np
 from . import kernels
 from .errors import NoisyDerivativeError, ValidationError
 from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState
-from .observables import (
-    expect_pump_amplitude,
-    expect_total_number,
-    measure,
-)
+from .observables import measure
 
 
 @dataclass(frozen=True)
@@ -143,44 +139,19 @@ def evolve(s0, spec):
     )
 
 
-# named observable selectors accepted by rate_of and the CLI
-OBSERVABLE_SELECTORS = {
-    "pair_amp_re": lambda s: measure(s).pair_amp.real,
-    "total_n": lambda s: measure(s).total_n,
-    "diff_n": lambda s: measure(s).diff_n,
-    "pump_quad": lambda s: measure(s).pump_quad,
-    "c_plus": lambda s: measure(s).c_plus,
-    "disp_plus": lambda s: measure(s).disp_plus,
-    "disp_minus": lambda s: measure(s).disp_minus,
-    "conserved_k": lambda s: measure(s).conserved_k,
-}
-
-
-def default_fd_step(s0, params):
-    """h = 1e-3 / (chi * max(1, pump amplitude, <N>))."""
-    scale = max(1.0, abs(expect_pump_amplitude(s0)), expect_total_number(s0))
-    chi = params.chi if params.chi > 0 else 1.0
-    return 1e-3 / (chi * scale)
-
-
 def rate_of(s0, params, f, h=None, tol=1e-4):
     """d<f>/dt at t=0 by Richardson-extrapolated central differences.
 
-    f is a callable on PureState or a key of OBSERVABLE_SELECTORS.  Central
-    differences with steps h and h/2 are combined to fourth order; each
-    side is one exact evolution over +h or -h.
+    f is a callable on PureState, e.g. ``lambda s: measure(s).disp_plus``.
+    Central differences with steps h and h/2 are combined to fourth order;
+    each side is one exact evolution over +h or -h.  The default h is
+    1e-3 / (chi * max(1, |<a0>|, <N>)).
     Raises NoisyDerivativeError (carrying both estimates) when the two
     step sizes disagree beyond tol.
     """
-    if isinstance(f, str):
-        try:
-            f = OBSERVABLE_SELECTORS[f]
-        except KeyError:
-            raise ValidationError(
-                f"unknown observable selector {f!r}; known: {sorted(OBSERVABLE_SELECTORS)}"
-            ) from None
     if h is None:
-        h = default_fd_step(s0, params)
+        o = measure(s0)
+        h = 1e-3 / ((params.chi or 1.0) * max(1.0, abs(o.pump_amp), o.total_n))
     if h <= 0:
         raise ValidationError(f"finite-difference step must be > 0, got {h!r}")
 

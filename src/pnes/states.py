@@ -137,7 +137,12 @@ def min_dimension_tmc(lam):
 
 def pump_dimension(alpha):
     """Default pump cutoff for a coherent amplitude alpha."""
-    return math.ceil(alpha * alpha + 6 * alpha + 10)
+    d = alpha * alpha + 6 * alpha + 10
+    if not (alpha >= 0 and math.isfinite(d)):
+        raise ValidationError(
+            f"alpha must be >= 0 with alpha^2 + 6 alpha + 10 finite, got {alpha!r}"
+        )
+    return math.ceil(d)
 
 
 def product_state(pump, pair):

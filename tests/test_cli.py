@@ -274,6 +274,19 @@ class TestEvolveModel:
         for name in ("dLambda", "dN"):
             assert max(abs(float(r[columns.index(name)])) for r in rows) < 1e-8, name
 
+    def test_sampled_pump_jumping_at_first_sample(self, tmp_path):
+        # a(t) is 0 before t = 0.25 and 1 from there; the grid piece [0, 0.5]
+        # is split at 0.25, and the piece ending there must not see the jump
+        text = ("profile = sampled\nprofile_times = 0.25, 0.5, 1\nprofile_values = 1, 0, 0\n"
+                "chi = 1\nt_start = 0\nt_stop = 1\nn_points = 3\n")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out.csv"
+        assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        assert float(rows[-1][columns.index("tau")]) == 0.125
+        for name in ("dLambda", "dN"):
+            assert max(abs(float(r[columns.index(name)])) for r in rows) < 1e-8, name
+
     def test_long_constant_pump_passes_relative_step_check(self, tmp_path):
         # N reaches about 670, where the absolute step-halving estimate is 2e-8
         text = ("profile = constant\namplitude = 1\nchi = 0.6\nt_start = 0\nt_stop = 6\n"
@@ -451,6 +464,23 @@ def test_oversized_box_rejected_before_building_the_pump(tmp_path, capsys, monke
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ValidationError"
     assert "exceeds the supported maximum" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e200"])
+@pytest.mark.parametrize("command, text", [
+    ("evolve-exact", EVOLVE_EXACT_CFG.replace("alpha = 2\n", "")),
+    ("compare", COMPARE_CFG.replace("alpha = 5\n", "")),
+], ids=["evolve-exact", "compare"])
+def test_default_d0_needs_a_finite_alpha(tmp_path, capsys, command, text, alpha):
+    cfg = write_cfg(tmp_path / "c.cfg", text + f"alpha = {alpha}\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ValidationError"
+    assert "alpha" in record["message"]
     assert not out.exists()
 
 

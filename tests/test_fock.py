@@ -2,18 +2,10 @@ import numpy as np
 import pytest
 
 from pnes.errors import ValidationError
-from pnes.fock import (
-    HamiltonianParams,
-    PureState,
-    TruncationConfig,
-    apply_interaction_generator,
-    apply_ladder,
-    basis_index,
-    basis_state,
-    inner,
-)
+from pnes.fock import HamiltonianParams, PureState, TruncationConfig, basis_index, basis_state
 
 from oracle import dense_generator
+from test_kernels import apply_dense
 
 
 def random_interior_state(cfg, seed, pad=1):
@@ -76,77 +68,32 @@ class TestBasisIndex:
             basis_index(0, -1, 0, cfg)
 
 
-class TestApplyLadder:
-    cfg = TruncationConfig(3, 3, 3)
-
-    def test_lower_single_quantum(self):
-        s = basis_state(0, 1, 0, self.cfg)
-        out = apply_ladder(1, "lower", s)
-        np.testing.assert_allclose(out.amplitudes, basis_state(0, 0, 0, self.cfg).amplitudes)
-
-    def test_lower_annihilates_vacuum(self):
-        out = apply_ladder(1, "lower", basis_state(0, 0, 0, self.cfg))
-        assert np.all(out.amplitudes == 0)
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_raise_then_lower(self, n):
-        s = basis_state(0, n, 0, self.cfg)
-        out = apply_ladder(1, "lower", apply_ladder(1, "raise", s))
-        np.testing.assert_allclose(out.amplitudes, (n + 1) * s.amplitudes, atol=1e-14)
-
-    def test_raise_at_cutoff_records_leakage(self):
-        s = basis_state(0, 2, 0, self.cfg)
-        out = apply_ladder(1, "raise", s)
-        assert np.all(out.amplitudes == 0)
-        assert out.leakage == pytest.approx(3.0)  # |sqrt(3)|^2
-
-    def test_adjointness_on_interior_states(self):
-        cfg = TruncationConfig(4, 4, 4)
-        for mode in (0, 1, 2):
-            s = random_interior_state(cfg, seed=10 + mode)
-            t = random_interior_state(cfg, seed=20 + mode)
-            lhs = inner(s, apply_ladder(mode, "raise", t))
-            rhs = inner(apply_ladder(mode, "lower", s), t)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_commutator_identity(self):
-        cfg = TruncationConfig(4, 4, 4)
-        for mode in (0, 1, 2):
-            s = random_interior_state(cfg, seed=mode)
-            got = (
-                apply_ladder(mode, "lower", apply_ladder(mode, "raise", s)).amplitudes
-                - apply_ladder(mode, "raise", apply_ladder(mode, "lower", s)).amplitudes
-            )
-            np.testing.assert_allclose(got, s.amplitudes, atol=1e-12)
-
-
 class TestInteractionGenerator:
     def test_one_pump_photon(self):
         cfg = TruncationConfig(2, 2, 2)
-        out = apply_interaction_generator(basis_state(1, 0, 0, cfg), HamiltonianParams(0.7))
-        expected = 0.7 * basis_state(0, 1, 1, cfg).amplitudes
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
+        out = apply_dense(basis_state(1, 0, 0, cfg).grid(), 0.7)
+        expected = 0.7 * basis_state(0, 1, 1, cfg).grid()
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_annihilates_vacuum(self):
         cfg = TruncationConfig(3, 3, 3)
-        out = apply_interaction_generator(basis_state(0, 0, 0, cfg), HamiltonianParams(1.0))
-        assert np.all(out.amplitudes == 0)
+        out = apply_dense(basis_state(0, 0, 0, cfg).grid(), 1.0)
+        assert np.all(out == 0)
 
     def test_real_diagonal_expectation(self):
         cfg = TruncationConfig(3, 3, 3)
         rng = np.random.default_rng(3)
         amps = rng.standard_normal(cfg.dim)
         s = PureState(cfg, amps / np.linalg.norm(amps))
-        val = inner(s, apply_interaction_generator(s, HamiltonianParams(0.4)))
+        val = np.vdot(s.grid(), apply_dense(s.grid(), 0.4))
         assert abs(val.imag) < 1e-14
 
     def test_antisymmetry(self):
         cfg = TruncationConfig(4, 4, 4)
-        p = HamiltonianParams(0.9)
-        s = random_interior_state(cfg, seed=5)
-        t = random_interior_state(cfg, seed=6)
-        lhs = inner(s, apply_interaction_generator(t, p))
-        rhs = -np.conj(inner(t, apply_interaction_generator(s, p)))
+        s = random_interior_state(cfg, seed=5).grid()
+        t = random_interior_state(cfg, seed=6).grid()
+        lhs = np.vdot(s, apply_dense(t, 0.9))
+        rhs = -np.conj(np.vdot(t, apply_dense(s, 0.9)))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_matches_dense_generator(self):
@@ -154,8 +101,7 @@ class TestInteractionGenerator:
         rng = np.random.default_rng(8)
         amps = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
         amps /= np.linalg.norm(amps)
-        s = PureState(cfg, amps)
-        got = apply_interaction_generator(s, HamiltonianParams(0.35)).amplitudes
+        got = apply_dense(PureState(cfg, amps).grid(), 0.35).reshape(-1)
         want = dense_generator(cfg.shape, 0.35) @ amps
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -179,23 +125,3 @@ class TestInteractionGenerator:
             comm = g @ obs - obs @ g
             assert np.max(np.abs(comm[np.ix_(interior, interior)])) < 1e-12
 
-
-class TestInner:
-    cfg = TruncationConfig(2, 2, 2)
-
-    def test_vacuum_norm(self):
-        v = basis_state(0, 0, 0, self.cfg)
-        assert inner(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal_basis(self):
-        assert inner(basis_state(1, 0, 0, self.cfg), basis_state(0, 1, 1, self.cfg)) == 0
-
-    def test_conjugate_linearity(self):
-        s = basis_state(0, 0, 0, self.cfg)
-        t = PureState(self.cfg, 1j * s.amplitudes)
-        assert inner(t, s) == pytest.approx(-1j)
-        assert inner(s, t) == pytest.approx(1j)
-
-    def test_config_mismatch(self):
-        with pytest.raises(ValidationError):
-            inner(basis_state(0, 0, 0, self.cfg), basis_state(0, 0, 0, TruncationConfig(3, 2, 2)))

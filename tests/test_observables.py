@@ -6,16 +6,11 @@ import pytest
 from pnes.errors import ValidationError
 from pnes.fock import PureState, TruncationConfig, basis_state
 from pnes.observables import (
-    c_plus_expectation,
-    conserved_excitation,
     edge_occupancy,
-    expect_number_difference,
     expect_pair_amplitude,
     expect_total_number,
     measure,
-    pair_quadrature_dispersion,
     photon_number_distribution,
-    pump_quadrature,
 )
 from pnes.states import coherent, pnes, product_state, tmc, twb
 
@@ -46,34 +41,32 @@ class TestNumberExpectations:
     def test_twb_totals(self):
         s = twb(0.5, 30)
         assert expect_total_number(s) == pytest.approx(2 / 3, abs=1e-12)
-        assert expect_number_difference(s) == 0.0
+        assert measure(s).diff_n == 0.0
 
     def test_tmc_difference(self):
-        assert expect_number_difference(tmc(1.0, 20)) == 0.0
+        assert measure(tmc(1.0, 20)).diff_n == 0.0
 
     def test_bare_fock_state(self):
         s = basis_state(0, 3, 1, TruncationConfig(1, 5, 5))
         assert expect_total_number(s) == 4.0
-        assert expect_number_difference(s) == 2.0
+        assert measure(s).diff_n == 2.0
 
 
 class TestPairQuadratureDispersion:
     def test_vacuum(self):
         s = pnes([1.0], 3)
-        assert pair_quadrature_dispersion(s, "plus") == pytest.approx(1.0)
+        assert measure(s).disp_plus == pytest.approx(1.0)
 
     def test_twb_closed_form(self):
         x = 0.5
-        d = pair_quadrature_dispersion(twb(x, 30), "plus")
+        d = measure(twb(x, 30)).disp_plus
         assert d == pytest.approx(((1 + x * x) / (1 - x * x)) ** 2, abs=1e-10)
         assert d == pytest.approx(25 / 9, abs=1e-10)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_tmc_is_total_number_plus_one(self, lam):
         s = tmc(lam, 30)
-        assert pair_quadrature_dispersion(s, "plus") == pytest.approx(
-            expect_total_number(s) + 1.0, abs=1e-10
-        )
+        assert measure(s).disp_plus == pytest.approx(expect_total_number(s) + 1.0, abs=1e-10)
 
     @pytest.mark.parametrize(
         "state",
@@ -82,35 +75,31 @@ class TestPairQuadratureDispersion:
     )
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_nonnegative(self, state, sign):
-        assert pair_quadrature_dispersion(state, sign) >= 0.0
-
-    def test_rejects_unknown_sign(self):
-        with pytest.raises(ValidationError):
-            pair_quadrature_dispersion(twb(0.2, 15), "both")
+        assert getattr(measure(state), f"disp_{sign}") >= 0.0
 
 
 class TestPumpQuadrature:
     def test_coherent_product(self):
         s = product_state(coherent(1.5, 25), twb(0.3, 15))
-        assert pump_quadrature(s) == pytest.approx(3.0, abs=1e-10)
+        assert measure(s).pump_quad == pytest.approx(3.0, abs=1e-10)
 
     def test_vacuum_pump(self):
-        assert pump_quadrature(twb(0.3, 15)) == 0.0
+        assert measure(twb(0.3, 15)).pump_quad == 0.0
 
     def test_scales_with_alpha(self):
         s = product_state(coherent(0.8, 20), tmc(0.5, 15))
-        assert pump_quadrature(s) == pytest.approx(1.6, abs=1e-10)
+        assert measure(s).pump_quad == pytest.approx(1.6, abs=1e-10)
 
 
 class TestConservedExcitation:
     def test_fock_states(self):
         cfg = TruncationConfig(2, 2, 2)
-        assert conserved_excitation(basis_state(1, 0, 0, cfg)) == 1.0
-        assert conserved_excitation(basis_state(0, 1, 1, cfg)) == 1.0
+        assert measure(basis_state(1, 0, 0, cfg)).conserved_k == 1.0
+        assert measure(basis_state(0, 1, 1, cfg)).conserved_k == 1.0
 
     def test_coherent_pump(self):
         s = product_state(coherent(2.0, 40), pnes([1.0], 3))
-        assert conserved_excitation(s) == pytest.approx(4.0, abs=1e-10)
+        assert measure(s).conserved_k == pytest.approx(4.0, abs=1e-10)
 
 
 class TestPhotonNumberDistribution:
@@ -171,7 +160,6 @@ class TestBruteForceEquivalence:
         assert o.disp_plus == pytest.approx(dispersion(ops["C_plus"], psi), abs=1e-12)
         assert o.disp_minus == pytest.approx(dispersion(ops["C_minus"], psi), abs=1e-12)
         assert o.conserved_k == pytest.approx(expect(ops["K"], psi).real, abs=1e-12)
-        assert c_plus_expectation(s) == pytest.approx(expect(ops["C_plus"], psi).real, abs=1e-12)
 
     def test_marginals_match_dense(self):
         s = self.random_state(7)

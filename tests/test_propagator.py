@@ -6,6 +6,7 @@ import pytest
 from pnes.errors import NoisyDerivativeError, ValidationError
 from pnes.fock import HamiltonianParams, PureState, TruncationConfig, basis_index, basis_state
 from pnes.meanfield import closed_form
+from pnes.observables import measure
 from pnes.propagator import EvolutionSpec, evolve, rate_of
 from pnes.states import coherent, pnes, product_state, twb
 
@@ -106,17 +107,17 @@ class TestEvolve:
 class TestRateOf:
     def test_conserved_observable_has_zero_rate(self):
         s0 = product_state(coherent(1.5, 20), twb(0.3, 14))
-        rate = rate_of(s0, HamiltonianParams(0.1), "diff_n")
+        rate = rate_of(s0, HamiltonianParams(0.1), lambda s: measure(s).diff_n)
         assert abs(rate) < 1e-10
 
     def test_zero_coupling(self):
         s0 = product_state(coherent(1.0, 15), twb(0.2, 10))
-        assert rate_of(s0, HamiltonianParams(0.0), "disp_plus") == 0.0
+        assert rate_of(s0, HamiltonianParams(0.0), lambda s: measure(s).disp_plus) == 0.0
 
     def test_twb_dispersion_rate(self):
         x, chi, alpha = 0.3, 0.1, 1.0
         s0 = product_state(coherent(alpha, 20), twb(x, 18))
-        rate = rate_of(s0, HamiltonianParams(chi), "disp_plus")
+        rate = rate_of(s0, HamiltonianParams(chi), lambda s: measure(s).disp_plus)
         expected = 8 * chi * alpha * x * (1 + x * x) / (1 - x * x) ** 2
         assert rate == pytest.approx(expected, rel=1e-3)
 
@@ -129,14 +130,9 @@ class TestRateOf:
         # dN/dt = 0 at t=0 from vacuum pair (N ~ 2 (chi alpha t)^2)
         assert abs(rate) < 1e-8
 
-    def test_unknown_selector(self):
-        s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
-        with pytest.raises(ValidationError, match="selector"):
-            rate_of(s0, HamiltonianParams(0.1), "nope")
-
     def test_noisy_derivative_raises_with_both_estimates(self):
         s0 = product_state(coherent(1.0, 15), twb(0.3, 12))
         with pytest.raises(NoisyDerivativeError) as err:
             # absurdly large step: the h and h/2 estimates cannot agree
-            rate_of(s0, HamiltonianParams(0.5), "disp_plus", h=5.0, tol=1e-12)
+            rate_of(s0, HamiltonianParams(0.5), lambda s: measure(s).disp_plus, h=5.0, tol=1e-12)
         assert err.value.estimate_h != err.value.estimate_h2
