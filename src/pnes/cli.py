@@ -24,7 +24,7 @@ from .errors import DimensionTooSmallError, NumericalError, ValidationError
 from .fock import HamiltonianParams, TruncationConfig
 from .meanfield import PumpProfile, closed_form_trajectory, integrate_model
 from .propagator import EvolutionSpec, evolve
-from .states import COHERENT_TAIL_WARN, coherent, pnes, product_state, pump_dimension, tmc, twb
+from .states import COHERENT_TAIL_WARN, coherent, pnes, product_sectors, pump_dimension, tmc, twb
 
 REQUIRED = object()
 
@@ -181,7 +181,7 @@ def _json_num(v):
 
 
 def _build_exact_state(cfg):
-    """coherent(alpha) on d0 pump levels times the family's pair state.
+    """coherent(alpha) on d0 pump levels times the family's pair state, as sectors.
 
     Raises DimensionTooSmallError when d0 cuts off more than
     COHERENT_TAIL_WARN of the pump, as twb and tmc do for the pair cutoff.
@@ -204,7 +204,7 @@ def _build_exact_state(cfg):
         pair = tmc(cfg["param"], d)
     else:
         raise ValidationError(f"family must be vacuum, twb or tmc, got {cfg['family']!r}")
-    return product_state(pump, pair)
+    return product_sectors(pump, pair)
 
 
 def cmd_evolve_exact(cfg):

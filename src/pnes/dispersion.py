@@ -27,14 +27,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .fock import HamiltonianParams, TruncationConfig
-from .kernels import gather
 from .observables import disp_plus_rate, measure
 from .propagator import rate_of
 from .states import (
     coherent,
     min_dimension_tmc,
     min_dimension_twb,
-    product_state,
+    product_sectors,
     pump_dimension,
     tmc,
     twb,
@@ -109,10 +108,11 @@ def default_truncation(family, param, alpha):
 
 
 def _make_state(family, param, alpha):
+    """coherent(alpha) x family(param) on the sector layout, as ``kernels.Sectors``."""
     trunc = default_truncation(family, param, alpha)
     pump = coherent(alpha, trunc.d0)
     pair = twb(param, trunc.d1) if family == "twb" else tmc(param, trunc.d1)
-    return product_state(pump, pair)
+    return product_sectors(pump, pair)
 
 
 def exact_rate(family, param, chi, alpha):
@@ -137,11 +137,11 @@ def diagnostic_simple_rate(s, chi):
 def build_report(family, param, chi, alpha):
     """One comparison point: all four rates plus discrepancy metrics.
 
-    rate_exact is ``exact_rate``'s value; the state is built and gathered
-    onto the sector layout once for it and for the diagnostic.
+    rate_exact is ``exact_rate``'s value; the state is built on the sector
+    layout once for it and for the diagnostic.
     """
     _check_point(family, param, chi, alpha)
-    s0 = gather(_make_state(family, param, alpha).grid())
+    s0 = _make_state(family, param, alpha)
     rate = disp_plus_rate(s0, chi)
     p_exact = analytic_rate(family, "exact", param, chi, alpha)
     p_model = analytic_rate(family, "model", param, chi, alpha)

@@ -23,9 +23,12 @@ every sector occupied costs less than twice the dense (d0, d1, d2) grid.
 ``SectorLayout`` holds the index maps and every weight the kernels and the
 observables use, built once per (shape, sector set) and cached; weights are
 zero on padding and on the box edges.  ``gather`` and ``scatter`` convert
-between a dense grid and this layout.  The propagator diagonalizes G on
-each chain K = n0 + m from the hop weights; ``apply_generator`` serves the
-equation-of-motion rate.
+between a dense grid and this layout; ``states.product_sectors`` builds a
+pump x pair state on it directly.  The propagator folds the chains
+K = n0 + m into max(d0, M) full blocks of min(d0, M) cells (cell (n0, m)
+goes to block K mod max(d0, M), at its index along the shorter of the two
+axes) and diagonalizes each block from the hop weights;
+``apply_generator`` serves the equation-of-motion rate.
 """
 
 from functools import lru_cache

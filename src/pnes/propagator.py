@@ -7,13 +7,18 @@ with the interaction).
 
 G conserves n1 - n2, so ``evolve`` works on the occupied sectors only, as
 psi[n0, m, j] (see ``kernels``).  There G only hops (n0 + 1, m) <-> (n0, m + 1),
-so each chain K = n0 + m of cells x_c = psi[K - m, m, j] evolves alone under a
-real antisymmetric tridiagonal matrix with off-diagonal chi * hop[K - m - 1, m, j].
-That matrix is D (-i S) D^-1 with D = diag(i^c) and S real symmetric, so one
-``np.linalg.eigh`` per chain, S = V diag(w) V^T, gives the exact propagator
-exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps`` only set the output
-grid.  The norm is reported, never renormalized; the leakage estimate adds
-dt^2 times the squared boundary flux (``kernels.discard_flux_sq``) per step.
+so each chain K = n0 + m evolves alone under a real antisymmetric tridiagonal
+matrix with off-diagonal chi * hop[K - m - 1, m, j].  The chains are folded
+into P = max(d0, M) blocks of L = min(d0, M) cells: cell (n0, m) goes to
+block K mod P, at its index along the shorter of the n0 and m axes.  A block
+holds chain b, or chains b and b + P with no hop where they meet, so the fold
+is a permutation of the cells, with no padding, and each block's G is one
+L x L tridiagonal matrix D (-i S) D^-1 with D = diag(i^c) and S real
+symmetric.  One ``np.linalg.eigh`` per block, S = V diag(w) V^T, gives the
+exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps``
+only set the output grid.  The norm is reported, never renormalized; the
+leakage estimate adds dt^2 times the squared boundary flux
+(``kernels.discard_flux_sq``) per step.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NoisyDerivativeError, ValidationError
-from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState
+from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState, TruncationConfig
 from .observables import measure
 
 
@@ -48,42 +53,56 @@ class ExactTrajectory:
     observables: list
     norms: np.ndarray
     leakages: np.ndarray
-    final_state: PureState
+    final: kernels.Sectors
     norm_drift: float
     leakage: float
+
+    @property
+    def final_state(self):
+        """The final state as a dense PureState, scattered from ``final`` on each read."""
+        psi, layout = self.final
+        grid = kernels.scatter(psi, layout)
+        return PureState(TruncationConfig(*layout.shape), grid.reshape(-1), self.leakage)
 
 
 def _chain_stepper(sectors, chi, dt):
     """A function that advances the psi of ``sectors`` by exp(G dt) per call.
 
-    It keeps one large array, the eigenvectors V of every chain, shape
-    (d0 + M - 1, J, L, L): the chains' S are filled into V and diagonalized
-    there one chain at a time.  ValidationError, before any eigh, if V would
+    The fold (see the module docstring) maps cell (n0, m) to position c of
+    block (n0 + m) mod P, c = m if d0 >= M, else c = n0.  G takes
+    p = (a + 1, m) to q = (a, m + 1) with weight chi * hop[a, m], and q to p
+    with its negative.  Below the diagonal S equals G: G[q, p] when c = m
+    (q one position above p), G[p, q] when c = n0 (p one position above q).
+    The one large array is V, the eigenvectors of every block,
+    shape (P, J, L, L): the blocks' S are filled into V and diagonalized
+    there one block at a time.  ValidationError, before any eigh, if V would
     exceed 2 * MAX_TOTAL_DIM float64, as many bytes as the largest dense state.
     """
     psi, layout = sectors
     d0, M, J = psi.shape
-    L = min(d0, M)
-    if (d0 + M - 1) * J * L * L > 2 * MAX_TOTAL_DIM:
+    P, L = max(d0, M), min(d0, M)
+    if P * J * L * L > 2 * MAX_TOTAL_DIM:
         raise ValidationError(
             f"the chain eigenvectors of {J} n1 - n2 sectors on a {d0} x {M} box "
             f"exceed {2 * MAX_TOTAL_DIM} float64"
         )
-    # chain K = n0 + m of each cell, and its position c from m = max(0, K - d0 + 1)
-    chain = np.arange(d0)[:, None] + np.arange(M)
-    pos = np.arange(M) - np.maximum(0, chain - d0 + 1)
-    # hop[a, m] joins (a + 1, m), at some c of chain a + m + 1, to (a, m + 1) at c + 1;
+    n0, m = np.ogrid[:d0, :M]
+    block = (n0 + m) % P
+    pos = np.broadcast_to(m if d0 >= M else n0, block.shape)
+    p, q = pos[1:, :-1], pos[:-1, 1:]
     # eigh reads only the lower triangle
-    c = pos[1:, :-1]
-    V = np.zeros((d0 + M - 1, J, L, L))
-    V[chain[1:, :-1], :, c + 1, c] = chi * layout.hop
-    w = np.zeros((d0 + M - 1, J, L))
-    for k, n in enumerate(np.bincount(chain.ravel())):  # n cells, then zero padding
-        w[k, :, :n], V[k, :, :n, :n] = np.linalg.eigh(V[k, :, :n, :n])
+    V = np.zeros((P, J, L, L))
+    if d0 >= M:
+        V[block[1:, :-1], :, q, p] = chi * layout.hop
+    else:
+        V[block[1:, :-1], :, p, q] = -chi * layout.hop
+    w = np.empty((P, J, L))
+    for b in range(P):
+        w[b], V[b] = np.linalg.eigh(V[b])
 
     d = np.array([1, 1j, -1, -1j])[np.arange(L) % 4]  # D = diag(i^c)
-    x = np.zeros((d0 + M - 1, J, L), dtype=np.complex128)
-    x[chain, :, pos] = psi
+    x = np.empty((P, J, L), dtype=np.complex128)
+    x[block, :, pos] = psi  # the fold is a permutation: this sets every cell
     x *= d.conj()
     # V is real: it multiplies real and imaginary parts as two real columns,
     # the float64 view of a complex array
@@ -93,7 +112,7 @@ def _chain_stepper(sectors, chi, dt):
 
     def step():
         np.multiply(coef, rotation, out=coef)  # rotates columns, which coef views
-        return (np.matmul(V, columns).view(np.complex128)[..., 0] * d)[chain, :, pos]
+        return (np.matmul(V, columns).view(np.complex128)[..., 0] * d)[block, :, pos]
 
     return step
 
@@ -101,15 +120,19 @@ def _chain_stepper(sectors, chi, dt):
 def evolve(s0, spec):
     """exp(G t) s0 at t = dt, 2 dt, ..., steps * dt, exact at each time.
 
-    Observables are recorded every record_every steps (always including the
-    initial and final times).  Raises ValidationError when the chains'
-    eigenvectors would not fit (see ``_chain_stepper``).
+    s0 is a PureState (gathered here) or a ``kernels.Sectors``, which starts
+    with no leakage.  Observables are recorded every record_every steps
+    (always including the initial and final times).  The dense final state
+    is built only when ``final_state`` is read.  Raises ValidationError when
+    the blocks' eigenvectors would not fit (see ``_chain_stepper``).
     """
-    sectors = kernels.gather(s0.grid())
+    if isinstance(s0, kernels.Sectors):
+        sectors, leak = s0, 0.0
+    else:
+        sectors, leak = kernels.gather(s0.grid()), s0.leakage
     psi, layout = sectors
     chi = spec.params.chi
     step = _chain_stepper(sectors, chi, spec.dt)
-    leak = s0.leakage
 
     times = [0.0]
     obs = [measure(sectors)]
@@ -124,8 +147,6 @@ def evolve(s0, spec):
             norms.append(float(np.linalg.norm(psi)))
             leaks.append(leak)
 
-    del step  # frees V before the dense final state is built
-    final = PureState(s0.config, kernels.scatter(psi, layout).reshape(-1), leak)
     norms_arr = np.asarray(norms)
     drift = float(np.max(np.abs(norms_arr**2 + np.asarray(leaks) - 1.0)))
     return ExactTrajectory(
@@ -133,7 +154,7 @@ def evolve(s0, spec):
         observables=obs,
         norms=norms_arr,
         leakages=np.asarray(leaks),
-        final_state=final,
+        final=kernels.Sectors(psi, layout),
         norm_drift=drift,
         leakage=leak,
     )

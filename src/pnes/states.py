@@ -2,7 +2,8 @@
 
 Pair states live in the signal/idler sector and are returned as PureState
 instances with a trivial pump dimension d0 = 1 (pump in vacuum); use
-``product_state`` to attach a real pump mode.  All parameters are real and
+``product_state`` to attach a real pump mode, or ``product_sectors`` for the
+same state on the sector layout of ``kernels``.  All parameters are real and
 nonnegative; truncation tails of the named families must stay below 1e-12
 so state-construction error is negligible against every test tolerance.
 """
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import DimensionTooSmallError, ValidationError
 from .fock import PureState, TruncationConfig
 
@@ -146,13 +148,27 @@ def pump_dimension(alpha):
 
 
 def product_state(pump, pair):
-    """Tensor product of a single-mode pump vector with a pair-sector state."""
+    """Tensor product of a single-mode pump vector with a pair-sector state.
+
+    The dense PureState of ``product_sectors(pump, pair)``.
+    """
+    psi, layout = product_sectors(pump, pair)
+    return PureState(TruncationConfig(*layout.shape), kernels.scatter(psi, layout).reshape(-1))
+
+
+def product_sectors(pump, pair):
+    """Tensor product of a pump vector with a pair state, as a ``kernels.Sectors``.
+
+    The pump amplitudes times the gathered sectors of the pair, normalized;
+    the dense (d0, d1, d2) grid is never built.
+    """
     if isinstance(pump, CoherentMode):
         pump = pump.amplitudes
     pump = np.asarray(pump, dtype=np.complex128).reshape(-1)
     if pair.config.d0 != 1:
         raise ValidationError("pair state must have trivial pump dimension d0 = 1")
     cfg = TruncationConfig(pump.size, pair.config.d1, pair.config.d2)
-    amps = np.kron(pump, pair.amplitudes)
-    amps /= np.linalg.norm(amps)
-    return PureState(cfg, amps)
+    pair_psi, pair_layout = kernels.gather(pair.grid())
+    psi = pump[:, None, None] * pair_psi
+    psi /= np.linalg.norm(psi)
+    return kernels.Sectors(psi, kernels.sector_layout(cfg.shape, pair_layout.deltas))

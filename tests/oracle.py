@@ -96,6 +96,9 @@ def rk4_model(p, chi, t_grid, n_sub):
             if piecewise_const:
                 a_mid = p.amplitude(0.5 * (lo + hi))
                 a_fn = lambda t, a=a_mid: a
+            elif p.variant == "sampled" and hi <= p.times[0]:
+                # the zero before the first sample, not the jump at its end
+                a_fn = lambda t: 0.0
             else:
                 a_fn = p.amplitude
             lam, n = _rk4_piece(a_fn, chi, lo, hi, lam, n, n_sub)

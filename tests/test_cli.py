@@ -13,6 +13,8 @@ from pnes.cli import _build_profile, main, read_config_file, validate_config
 from pnes.errors import ValidationError
 from pnes.meanfield import tau_of_t
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def write_cfg(path, text):
     path.write_text(text, encoding="utf-8")
@@ -465,6 +467,31 @@ def test_oversized_box_rejected_before_building_the_pump(tmp_path, capsys, monke
     assert record["error"] == "ValidationError"
     assert "exceeds the supported maximum" in record["message"]
     assert not out.exists()
+
+
+def _forbid_dense_grid(monkeypatch):
+    """Make states.product_state and kernels.scatter raise, in every pnes module holding them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the dense (d0, d1, d2) grid")
+
+    for name, module in list(sys.modules.items()):
+        if name == "pnes" or name.startswith("pnes."):
+            for attr in ("product_state", "scatter"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve-exact", (ROOT / "perfbench" / "configs" / "trajectory.cfg").read_text()),
+    ("compare", COMPARE_CFG),
+], ids=["evolve-exact-trajectory", "compare"])
+def test_exact_path_never_builds_the_dense_grid(tmp_path, monkeypatch, command, text):
+    cfg = write_cfg(tmp_path / "c.cfg", text)
+    plain, guarded = tmp_path / "plain.csv", tmp_path / "guarded.csv"
+    assert main([command, "--config", cfg, "--out", str(plain)]) == 0
+    _forbid_dense_grid(monkeypatch)
+    assert main([command, "--config", cfg, "--out", str(guarded)]) == 0
+    assert guarded.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "1e200"])

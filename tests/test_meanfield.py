@@ -60,8 +60,6 @@ def model_cases(draw):
         if len(times) == 1:
             times.insert(0, times[0] - 1.0)
         values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))
-        if times[0] > grid[0]:
-            values[0] = 0.0  # no jump where the support starts: RK4 would step across it
         p = PumpProfile.sampled(times, values)
     return p, draw(normal_or_zero), grid
 
@@ -243,6 +241,17 @@ def test_integrate_model_matches_scalar_rk4(case):
     tail = (n > 0) & (n < 1e-20)
     for got, want in ((ode.Lambda[tail], lam[tail]), (ode.N[tail], n[tail])):
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+def test_scalar_rk4_sees_no_jump_before_the_first_sample():
+    # a(t) is 0 before t = 0.25 and 1 from there; the piece [0, 0.25] ends on the jump
+    p = PumpProfile.sampled([0.25, 0.5, 1.0], [1.0, 0.0, 0.0])
+    grid = np.array([0.0, 0.5, 1.0])
+    n_sub = max(4, math.ceil(400.0 * p.peak() * float(np.max(np.diff(grid)))))
+    lam, n = rk4_model(p, 1.0, grid, 2 * n_sub)
+    cf = closed_form_trajectory(p, 1.0, grid)
+    assert np.max(np.abs(lam - cf.Lambda)) <= 1e-12
+    assert np.max(np.abs(n - cf.N)) <= 1e-12
 
 
 def test_gaussian_tail_keeps_relative_precision():

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from pnes import kernels
 from pnes.errors import NoisyDerivativeError, ValidationError
 from pnes.fock import HamiltonianParams, PureState, TruncationConfig, basis_index, basis_state
 from pnes.meanfield import closed_form
 from pnes.observables import measure
 from pnes.propagator import EvolutionSpec, evolve, rate_of
-from pnes.states import coherent, pnes, product_state, twb
+from pnes.states import coherent, pnes, product_sectors, product_state, twb
+
+from oracle import dense_generator
 
 
 def two_state_populations(chi, t, dt):
@@ -93,7 +96,7 @@ class TestEvolve:
             raise AssertionError("eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        cfg = TruncationConfig(90, 90, 90)
+        cfg = TruncationConfig(100, 100, 100)
         s0 = PureState(cfg, np.full(cfg.dim, cfg.dim**-0.5, dtype=complex))
         with pytest.raises(ValidationError, match="sectors"):
             evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, steps=1))
@@ -102,6 +105,53 @@ class TestEvolve:
         s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.02, steps=10, record_every=4))
         np.testing.assert_allclose(traj.times, [0.0, 0.08, 0.16, 0.2])
+
+
+class TestFoldedBlocks:
+    """The K-chains folded into max(d0, M) blocks of min(d0, M) cells."""
+
+    @pytest.mark.parametrize("shape", [(7, 4, 5), (4, 5, 4), (3, 6, 5)],
+                             ids=["d0>M", "d0=M", "d0<M"])
+    def test_matches_dense_exponential(self, shape):
+        rng = np.random.default_rng(7)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid /= np.linalg.norm(grid)
+        chi, t = 0.7, 1.3
+        s0 = PureState(TruncationConfig(*shape), grid.reshape(-1))
+        traj = evolve(s0, EvolutionSpec(HamiltonianParams(chi), dt=t / 5, steps=5))
+        # exp(G t) = exp(-i H t) with H = i G Hermitian
+        w, v = np.linalg.eigh(1j * dense_generator(shape, chi))
+        want = v @ (np.exp(-1j * w * t) * (v.conj().T @ grid.reshape(-1)))
+        np.testing.assert_allclose(traj.final_state.amplitudes, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape, other", [
+        ((8, 6, 6), [(7, 3), (6, 4), (5, 5)]),
+        ((6, 8, 8), [(3, 7), (4, 6), (5, 5)]),
+    ], ids=["d0>M", "d0<M"])
+    def test_two_odd_chains_in_one_block_stay_apart(self, shape, other):
+        # block 2 holds chain K = 2 and chain K = 10 (cells (n0, m) listed in other),
+        # three cells each, so both have the eigenvalue 0; only chain 2 is occupied
+        cfg = TruncationConfig(*shape)
+        s0 = basis_state(2, 0, 0, cfg)
+        traj = evolve(s0, EvolutionSpec(HamiltonianParams(1.0), dt=0.05, steps=60))
+        final = traj.final_state.grid()
+        assert max(abs(final[n0, m, m]) for n0, m in other) <= 1e-13
+        assert abs(final[2, 0, 0]) < 0.99  # chain 2 did move
+        ks = [o.conserved_k for o in traj.observables]
+        assert max(abs(k - 2.0) for k in ks) <= 1e-12
+        assert max(abs(o.diff_n) for o in traj.observables) <= 1e-12
+
+    def test_sectors_start_matches_pure_state_start(self):
+        pump, pair = coherent(1.5, 12), twb(0.3, 14)
+        spec = EvolutionSpec(HamiltonianParams(0.2), dt=0.1, steps=10, record_every=5)
+        from_sectors = evolve(product_sectors(pump, pair), spec)
+        from_state = evolve(product_state(pump, pair), spec)
+        assert isinstance(from_sectors.final, kernels.Sectors)
+        np.testing.assert_allclose(from_sectors.final_state.amplitudes,
+                                   from_state.final_state.amplitudes, rtol=0, atol=1e-14)
+        assert from_sectors.final_state.config == from_state.final_state.config
+        assert from_sectors.leakage == pytest.approx(from_state.leakage, rel=1e-12)
+        np.testing.assert_allclose(from_sectors.norms, from_state.norms, rtol=0, atol=1e-14)
 
 
 class TestRateOf:

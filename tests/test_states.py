@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pnes import kernels
 from pnes.errors import DimensionTooSmallError, ValidationError
 from pnes.observables import (
     expect_pair_amplitude,
@@ -15,6 +16,7 @@ from pnes.states import (
     min_dimension_tmc,
     min_dimension_twb,
     pnes,
+    product_sectors,
     product_state,
     tmc,
     twb,
@@ -195,6 +197,20 @@ class TestProductState:
         s = product_state(coherent(1.0, 10), twb(0.3, 15))
         with pytest.raises(ValidationError):
             product_state(coherent(1.0, 10), s)
+
+
+class TestProductSectors:
+    @pytest.mark.parametrize("pair", [twb(0.3, 15), tmc(0.7, 12), pnes([1.0], 4)],
+                             ids=["twb", "tmc", "vacuum"])
+    def test_is_the_gathered_kronecker_product(self, pair):
+        pump = coherent(1.5, 20)
+        psi, layout = product_sectors(pump, pair)
+        grid = np.kron(pump.amplitudes, pair.amplitudes).reshape(20, *pair.config.shape[1:])
+        want, want_layout = kernels.gather(grid / np.linalg.norm(grid))
+        assert layout is want_layout
+        np.testing.assert_allclose(psi, want, rtol=0, atol=1e-15)
+        dense = product_state(pump, pair).grid()
+        np.testing.assert_array_equal(dense, kernels.scatter(psi, layout))
 
 
 class TestFactoryInvariants:
