@@ -7,8 +7,8 @@ Configs are flat ``key = value`` files; unknown keys are errors and every
 violation is reported, not just the first.  Outputs are deterministic:
 identical configs produce byte-identical files.  Exit codes: 0 success,
 1 validation or usage error, 2 numerical failure, 3 partial scan failure.
-``scan`` runs its points serially; ``--workers N`` with N > 1 spreads them
-over a process pool.
+``scan`` always runs its points serially; ``--workers N`` (an integer >= 1)
+is accepted for compatibility and ignored.
 """
 
 import argparse
@@ -166,7 +166,7 @@ def write_output(out, fmt, command, raw_config, columns, rows):
             "columns": list(columns),
             "rows": [[v if isinstance(v, str) else _json_num(v) for v in row] for row in rows],
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -175,9 +175,11 @@ def write_output(out, fmt, command, raw_config, columns, rows):
 
 
 def _json_num(v):
+    """v as a JSON number; None (null) for a non-finite float, which JSON cannot hold."""
     if isinstance(v, (bool, int, np.integer)):
         return int(v) if not isinstance(v, bool) else v
-    return float(v)
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
 def _build_exact_state(cfg):
@@ -318,42 +320,25 @@ def cmd_dispersion(cfg):
     return REPORT_COLUMNS, rows
 
 
-def _scan_point(args):
-    family, param, chi, alpha = args
+def _scan_row(family, param, chi, alpha):
+    """One scan CSV row; its last cell is "ok" or the error of a failed point."""
     try:
-        return ("ok", _report_row(build_report(family, param, chi, alpha)))
+        return _report_row(build_report(family, param, chi, alpha)) + ["ok"]
     except (ValidationError, NumericalError) as exc:
         # keep the status cell free of CSV separators
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        return ("error", [family, param, chi, alpha] + [math.nan] * 7 + [False], msg)
+        return [family, param, chi, alpha] + [math.nan] * 7 + [False, msg]
 
 
-def cmd_scan(cfg, workers):
-    """Every grid point, serially unless workers > 1 asks for a process pool."""
-    grid = [
-        (cfg["family"], param, chi, alpha)
+def cmd_scan(cfg):
+    """Every grid point, in grid order; any_failed when a row's status is not "ok"."""
+    rows = [
+        _scan_row(cfg["family"], param, chi, alpha)
         for chi in cfg["chi_values"]
         for alpha in cfg["alpha_values"]
         for param in cfg["params"]
     ]
-    if workers > 1 and len(grid) > 1:
-        # imported here: it pulls in multiprocessing, which no other command needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_point, grid))
-    else:
-        results = [_scan_point(point) for point in grid]
-    columns = REPORT_COLUMNS + ["status"]
-    rows = []
-    any_failed = False
-    for res in results:  # deterministic grid order regardless of completion order
-        if res[0] == "ok":
-            rows.append(res[1] + ["ok"])
-        else:
-            any_failed = True
-            rows.append(res[1] + [res[2]])
-    return columns, rows, any_failed
+    return REPORT_COLUMNS + ["status"], rows, any(row[-1] != "ok" for row in rows)
 
 
 def _error_record(exc):
@@ -371,7 +356,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility and ignored: scan always runs serially")
 
     try:
         args = parser.parse_args(argv)
@@ -389,7 +375,7 @@ def main(argv=None):
         elif args.command == "dispersion":
             columns, rows = cmd_dispersion(cfg)
         else:
-            columns, rows, any_failed = cmd_scan(cfg, args.workers)
+            columns, rows, any_failed = cmd_scan(cfg)
             exit_code = 3 if any_failed else 0
         write_output(args.out, args.format, args.command, raw, columns, rows)
         return exit_code

@@ -163,7 +163,9 @@ def evolve(s0, spec):
 def rate_of(s0, params, f, h=None, tol=1e-4):
     """d<f>/dt at t=0 by Richardson-extrapolated central differences.
 
-    f is a callable on PureState, e.g. ``lambda s: measure(s).disp_plus``.
+    f is a callable on the ``kernels.Sectors`` of each evolved state, e.g.
+    ``lambda s: measure(s).disp_plus``; ``measure`` and the ``expect_*``
+    helpers take either a Sectors or a PureState.
     Central differences with steps h and h/2 are combined to fourth order;
     each side is one exact evolution over +h or -h.  The default h is
     1e-3 / (chi * max(1, |<a0>|, <N>)).
@@ -180,7 +182,7 @@ def rate_of(s0, params, f, h=None, tol=1e-4):
         return 0.0
 
     def central(step):
-        fp, fm = (f(evolve(s0, EvolutionSpec(params, dt=t, steps=1)).final_state)
+        fp, fm = (f(evolve(s0, EvolutionSpec(params, dt=t, steps=1)).final)
                   for t in (step, -step))
         return (fp - fm) / (2.0 * step)
 

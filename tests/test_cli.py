@@ -396,13 +396,34 @@ class TestScan:
         assert statuses[0] == "ok"
         assert "ValidationError" in statuses[1]
 
-    def test_serial_without_workers(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [[], ["--workers", "3"]],
+                             ids=["no-workers-flag", "workers-3"])
+    def test_serial_without_workers(self, tmp_path, monkeypatch, workers):
         def no_pool(*args, **kwargs):
-            raise AssertionError("scan started a process pool without --workers")
+            raise AssertionError("scan started a process pool")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfg = write_cfg(tmp_path / "c.cfg", SCAN_CFG)
-        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "out.csv")] + workers) == 0
+
+    def test_json_writes_non_finite_cells_as_null(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            "family = twb\nparams = 0, 0.2, 1.5\nchi_values = 0.1\nalpha_values = 1\n",
+        )
+        out = tmp_path / "out.json"
+        assert main(["scan", "--config", cfg, "--out", str(out), "--format", "json"]) == 3
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        columns, rows = doc["columns"], doc["rows"]
+        ratios = [columns.index("rel_err_exact"), columns.index("model_exact_ratio")]
+        assert [rows[0][j] for j in ratios] == [None, None]
+        assert all(v is not None for v in rows[1])
+        assert rows[2][columns.index("rate_exact"):columns.index("ratios_defined")] == [None] * 7
+        assert "ValidationError" in rows[2][columns.index("status")]
 
     def test_zero_workers_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SCAN_CFG)

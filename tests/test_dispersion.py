@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pnes.kernels
 from pnes.dispersion import (
     build_report,
     default_truncation,
@@ -72,6 +73,15 @@ class TestExactRateFd:
 
     def test_zero_coupling(self):
         assert exact_rate_fd("twb", 0.3, 0.0, 1.0) == 0.0
+
+    def test_never_builds_the_dense_grid(self, monkeypatch):
+        want = exact_rate_fd("twb", 0.4, 0.1, 2.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_rate_fd scattered a state to the dense grid")
+
+        monkeypatch.setattr(pnes.kernels, "scatter", refuse)
+        assert exact_rate_fd("twb", 0.4, 0.1, 2.0) == want
 
     def test_linearity_in_chi_and_alpha(self):
         base = exact_rate_fd("tmc", 0.5, 0.05, 1.0)
