@@ -12,6 +12,7 @@ is accepted for compatibility and ignored.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dispersion import build_report
+from .dispersion import DispersionReport, build_report
 from .errors import DimensionTooSmallError, NumericalError, ValidationError
 from .fock import HamiltonianParams, TruncationConfig
 from .meanfield import PumpProfile, closed_form_trajectory, integrate_model
@@ -265,8 +266,10 @@ def _rel_dev(a, b):
 
 
 def _step_count(t_stop, dt):
-    """t_stop / dt as a whole number of steps; ValidationError unless it is one."""
-    ratio = t_stop / dt if dt != 0 else math.inf
+    """t_stop / dt as a whole number >= 1 of steps; ValidationError unless it is one."""
+    if not dt > 0:
+        raise ValidationError(f"dt must be > 0, got {dt!r}")
+    ratio = t_stop / dt
     if not math.isfinite(ratio):
         raise ValidationError(f"t_stop / dt must be finite, got t_stop={t_stop!r}, dt={dt!r}")
     steps = round(ratio)
@@ -275,6 +278,8 @@ def _step_count(t_stop, dt):
             f"t_stop / dt = {ratio!r} is not a whole number of steps "
             f"(t_stop={t_stop!r}, dt={dt!r})"
         )
+    if steps < 1:
+        raise ValidationError(f"t_stop / dt must give at least one step, got {ratio!r}")
     return steps
 
 
@@ -297,37 +302,25 @@ def cmd_compare(cfg):
     return columns, rows
 
 
-REPORT_COLUMNS = [
-    "family", "param", "chi", "alpha",
-    "rate_exact", "rate_analytic_exact", "rate_analytic_model", "rate_model_traj",
-    "rate_diag_simple", "rel_err_exact", "model_exact_ratio", "ratios_defined",
-]
-
-
-def _report_row(report):
-    return [
-        report.state_family, report.state_param, report.chi, report.alpha,
-        report.rate_exact, report.rate_analytic_exact, report.rate_analytic_model,
-        report.rate_model_traj, report.rate_diag_simple, report.rel_err_exact,
-        report.model_exact_ratio, report.ratios_defined,
-    ]
+_REPORT_FIELDS = [f.name for f in dataclasses.fields(DispersionReport)]
 
 
 def cmd_dispersion(cfg):
-    rows = []
-    for param in cfg["params"]:
-        rows.append(_report_row(build_report(cfg["family"], param, cfg["chi"], cfg["alpha"])))
-    return REPORT_COLUMNS, rows
+    rows = [dataclasses.astuple(build_report(cfg["family"], param, cfg["chi"], cfg["alpha"]))
+            for param in cfg["params"]]
+    return _REPORT_FIELDS, rows
 
 
 def _scan_row(family, param, chi, alpha):
     """One scan CSV row; its last cell is "ok" or the error of a failed point."""
     try:
-        return _report_row(build_report(family, param, chi, alpha)) + ["ok"]
+        return [*dataclasses.astuple(build_report(family, param, chi, alpha)), "ok"]
     except (ValidationError, NumericalError) as exc:
         # keep the status cell free of CSV separators
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        return [family, param, chi, alpha] + [math.nan] * 7 + [False, msg]
+        cells = dict.fromkeys(_REPORT_FIELDS, math.nan)
+        cells.update(family=family, param=param, chi=chi, alpha=alpha, ratios_defined=False)
+        return [*cells.values(), msg]
 
 
 def cmd_scan(cfg):
@@ -338,7 +331,7 @@ def cmd_scan(cfg):
         for alpha in cfg["alpha_values"]
         for param in cfg["params"]
     ]
-    return REPORT_COLUMNS + ["status"], rows, any(row[-1] != "ok" for row in rows)
+    return _REPORT_FIELDS + ["status"], rows, any(row[-1] != "ok" for row in rows)
 
 
 def _error_record(exc):

@@ -44,8 +44,8 @@ FAMILIES = ("twb", "tmc")
 
 @dataclass
 class DispersionReport:
-    state_family: str
-    state_param: float
+    family: str
+    param: float
     chi: float
     alpha: float
     rate_exact: float
@@ -151,8 +151,8 @@ def build_report(family, param, chi, alpha):
     rel = abs(rate - p_exact) / abs(p_exact) if p_exact != 0.0 else math.nan
     ratio = rate / m_traj if m_traj != 0.0 else math.nan
     return DispersionReport(
-        state_family=family,
-        state_param=param,
+        family=family,
+        param=param,
         chi=chi,
         alpha=alpha,
         rate_exact=rate,

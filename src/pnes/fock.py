@@ -5,10 +5,10 @@ pump index slowest: flat index of |n0, n1, n2> is (n0*d1 + n1)*d2 + n2.
 This is the exchange format of the package; this module holds only the
 box, the coupling and the state.  The interaction generator and the
 moments act on the sector layout of ``kernels``, which keeps only the
-occupied n1 - n2 sectors: a PureState is gathered into it on the way in
-and scattered back on the way out.  Truncation is a hard cutoff; the
-state's ``leakage`` field carries the propagator's estimate of the
-probability that reached it.
+occupied n1 - n2 sectors: a PureState enters it through
+``kernels.as_sectors`` and is scattered back on the way out.  Truncation is
+a hard cutoff; the propagator's estimate of the probability that reached
+it lives on its trajectory (``ExactTrajectory.leakage``), not on the state.
 """
 
 from dataclasses import dataclass
@@ -65,19 +65,10 @@ class HamiltonianParams:
 
 @dataclass
 class PureState:
-    """Normalized amplitude vector over the three-mode Fock basis.
-
-    ``leakage`` accumulates an estimate of the probability discarded at
-    the truncation boundary.  Evolution on the truncated box is exact and
-    norm-preserving, so |amplitudes|^2 stays 1 to rounding; the propagator's
-    estimate (dt^2 times the boundary flux per step) comes on top and grows
-    with dt, so |amplitudes|^2 + leakage stays near 1 only while no
-    probability reaches the cutoff edge.
-    """
+    """Normalized amplitude vector over the three-mode Fock basis."""
 
     config: TruncationConfig
     amplitudes: np.ndarray
-    leakage: float = 0.0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)

@@ -162,14 +162,13 @@ def twb_x_from_tau(tau):
 
 @dataclass
 class ModelTrajectory:
-    """Model solution on a time grid; ``tau`` is None for source == "ode"
+    """Model solution on a time grid; ``tau`` is None from ``integrate_model``
     (the ODE does not need it; ``closed_form_trajectory`` reports it)."""
 
     times: np.ndarray
     tau: np.ndarray
     Lambda: np.ndarray
     N: np.ndarray
-    source: str  # "closed_form" | "ode"
 
 
 def closed_form_trajectory(p, chi, t_grid):
@@ -177,7 +176,7 @@ def closed_form_trajectory(p, chi, t_grid):
     tau = np.array([tau_of_t(p, chi, t) for t in t_grid])
     lam = np.sinh(tau) * np.cosh(tau)
     n = 2.0 * np.sinh(tau) ** 2
-    return ModelTrajectory(t_grid, tau, lam, n, "closed_form")
+    return ModelTrajectory(t_grid, tau, lam, n)
 
 
 def _rk4_pass(p, chi, t_grid, n_sub):
@@ -273,4 +272,4 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
         raise StepSizeError(
             f"step-halving error estimate {err:.3e} exceeds {_ODE_TOL:.0e} * max(1, |value|)"
         )
-    return ModelTrajectory(t_grid, None, l2, n2, "ode")
+    return ModelTrajectory(t_grid, None, l2, n2)

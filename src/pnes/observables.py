@@ -1,7 +1,7 @@
 """Expectation values and dispersions for the pair operators.
 
 All moments are assembled matrix-free from ladder actions on the sector
-layout of ``kernels`` (a PureState is gathered first), so their cost
+layout of ``kernels`` (reached through ``kernels.as_sectors``), so their cost
 follows the occupied n1 - n2 sectors, not the dense grid:
 
     A   = a1 a2            pair amplitude (expectation is the model's Lambda)
@@ -45,20 +45,15 @@ class ObservableSet:
     conserved_k: float
 
 
-def _sectors(s):
-    """s itself if it is a ``kernels.Sectors``, else the PureState s gathered."""
-    return s if isinstance(s, kernels.Sectors) else kernels.gather(s.grid())
-
-
 def measure(s):
     """All observables of one state, computed together on the sector layout.
 
-    s is a PureState (gathered here) or a ``kernels.Sectors``.  A A+ and
+    s is a PureState or a ``kernels.Sectors``.  A A+ and
     A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the A A+ weight
     is zeroed on the raise boundary so the dispersions agree with the
     truncated operators (and with the dense oracle) everywhere.
     """
-    psi, lay = _sectors(s)
+    psi, lay = kernels.as_sectors(s)
     p = psi.real**2 + psi.imag**2
     p_pair = p.sum(axis=0)
     total_n = float(np.sum(lay.nsum * p_pair))
@@ -98,7 +93,7 @@ def disp_plus_rate(s, chi):
     symmetric, so <g|C+^2 psi> = <C+ g|C+ psi> and C+^2 is never formed.
     One G application, no evolution.  s is a PureState or a kernels.Sectors.
     """
-    psi, lay = _sectors(s)
+    psi, lay = kernels.as_sectors(s)
     g = kernels.apply_generator(psi, chi, np.empty_like(psi), lay)
     c_psi = kernels.apply_pair_quadrature(psi, np.empty_like(psi), lay)
     c_g = kernels.apply_pair_quadrature(g, np.empty_like(psi), lay)
@@ -107,26 +102,9 @@ def disp_plus_rate(s, chi):
 
 
 def photon_number_distribution(s, mode):
-    """Marginal photon-number distribution of one mode; sums to 1 - leakage."""
+    """Marginal photon-number distribution of one mode of a PureState; sums to 1."""
     if mode not in (0, 1, 2):
         raise ValidationError(f"mode must be 0, 1 or 2, got {mode!r}")
     axes = tuple(ax for ax in (0, 1, 2) if ax != mode)
     return np.sum(s.probabilities(), axis=axes)
 
-
-def edge_occupancy(s):
-    """Probability mass on the cutoff boundary of any nontrivial mode.
-
-    Modes of dimension 1 (e.g. the trivial pump slot of a pair-sector
-    state) have no tail to occupy and are skipped.
-    """
-    p = s.probabilities()
-    d0, d1, d2 = s.config.shape
-    mask = np.zeros(s.config.shape, dtype=bool)
-    if d0 > 1:
-        mask[-1, :, :] = True
-    if d1 > 1:
-        mask[:, -1, :] = True
-    if d2 > 1:
-        mask[:, :, -1] = True
-    return float(np.sum(p[mask]))

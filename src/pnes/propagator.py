@@ -16,8 +16,9 @@ is a permutation of the cells, with no padding, and each block's G is one
 L x L tridiagonal matrix D (-i S) D^-1 with D = diag(i^c) and S real
 symmetric.  One ``np.linalg.eigh`` per block, S = V diag(w) V^T, gives the
 exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps``
-only set the output grid.  The norm is reported, never renormalized; the
-leakage estimate adds dt^2 times the squared boundary flux
+only set the output grid.  The norm is reported, never renormalized.  The
+leakage estimate belongs to the trajectory, not to the state: every
+``evolve`` starts it at 0 and adds dt^2 times the squared boundary flux
 (``kernels.discard_flux_sq``) per step.
 """
 
@@ -39,6 +40,10 @@ class EvolutionSpec:
     record_every: int = 1
 
     def __post_init__(self):
+        for name in ("steps", "record_every"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {n!r}")
         if self.dt == 0 or not np.isfinite(self.dt):
             raise ValidationError(f"dt must be finite and nonzero, got {self.dt!r}")
         if self.steps < 0:
@@ -62,7 +67,7 @@ class ExactTrajectory:
         """The final state as a dense PureState, scattered from ``final`` on each read."""
         psi, layout = self.final
         grid = kernels.scatter(psi, layout)
-        return PureState(TruncationConfig(*layout.shape), grid.reshape(-1), self.leakage)
+        return PureState(TruncationConfig(*layout.shape), grid.reshape(-1))
 
 
 def _chain_stepper(sectors, chi, dt):
@@ -120,16 +125,14 @@ def _chain_stepper(sectors, chi, dt):
 def evolve(s0, spec):
     """exp(G t) s0 at t = dt, 2 dt, ..., steps * dt, exact at each time.
 
-    s0 is a PureState (gathered here) or a ``kernels.Sectors``, which starts
-    with no leakage.  Observables are recorded every record_every steps
-    (always including the initial and final times).  The dense final state
-    is built only when ``final_state`` is read.  Raises ValidationError when
-    the blocks' eigenvectors would not fit (see ``_chain_stepper``).
+    s0 is a PureState or a ``kernels.Sectors`` (see ``kernels.as_sectors``);
+    the leakage estimate starts at 0 on every call.  Observables are
+    recorded every record_every steps (always including the initial and
+    final times).  The dense final state is built only when ``final_state``
+    is read.  Raises ValidationError when the blocks' eigenvectors would not
+    fit (see ``_chain_stepper``).
     """
-    if isinstance(s0, kernels.Sectors):
-        sectors, leak = s0, 0.0
-    else:
-        sectors, leak = kernels.gather(s0.grid()), s0.leakage
+    sectors = kernels.as_sectors(s0)
     psi, layout = sectors
     chi = spec.params.chi
     step = _chain_stepper(sectors, chi, spec.dt)
@@ -137,6 +140,7 @@ def evolve(s0, spec):
     times = [0.0]
     obs = [measure(sectors)]
     norms = [float(np.linalg.norm(psi))]
+    leak = 0.0
     leaks = [leak]
     for k in range(spec.steps):
         leak += spec.dt * spec.dt * kernels.discard_flux_sq(psi, chi, layout)
@@ -170,8 +174,11 @@ def rate_of(s0, params, f, h=None, tol=1e-4):
     each side is one exact evolution over +h or -h.  The default h is
     1e-3 / (chi * max(1, |<a0>|, <N>)).
     Raises NoisyDerivativeError (carrying both estimates) when the two
-    step sizes disagree beyond tol.
+    step sizes disagree beyond tol, and ValidationError unless tol is
+    finite and > 0.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     if h is None:
         o = measure(s0)
         h = 1e-3 / ((params.chi or 1.0) * max(1.0, abs(o.pump_amp), o.total_n))

@@ -335,6 +335,21 @@ class TestCompare:
         assert "whole number of steps" in record["message"]
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("t_stop, dt", [("0", "0.05"), ("-1", "-0.05")],
+                             ids=["zero-span", "negative-dt"])
+    def test_no_step_rejected_before_evolving(self, tmp_path, capsys, monkeypatch, t_stop, dt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact state was built or evolved")
+
+        monkeypatch.setattr(pnes.cli, "_build_exact_state", refuse)
+        monkeypatch.setattr(pnes.cli, "evolve", refuse)
+        text = COMPARE_CFG.replace("t_stop = 0.5", f"t_stop = {t_stop}")
+        cfg = write_cfg(tmp_path / "c.cfg", text.replace("dt = 0.01", f"dt = {dt}"))
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ValidationError"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_pump_cutoff_rejected(self, tmp_path, capsys):
         text = COMPARE_CFG.replace("alpha = 5", "alpha = 4\nd0 = 3")
         cfg = write_cfg(tmp_path / "c.cfg", text)

@@ -6,7 +6,6 @@ import pytest
 from pnes.errors import ValidationError
 from pnes.fock import PureState, TruncationConfig, basis_state
 from pnes.observables import (
-    edge_occupancy,
     expect_pair_amplitude,
     expect_total_number,
     measure,
@@ -174,11 +173,3 @@ class TestBruteForceEquivalence:
             want = np.array([p[occupations == n].sum() for n in range(d)])
             np.testing.assert_allclose(got, want, atol=1e-12)
 
-
-class TestEdgeOccupancy:
-    def test_interior_state_has_none(self):
-        assert edge_occupancy(twb(0.2, 20)) < 1e-12
-
-    def test_boundary_state_reports_mass(self):
-        s = basis_state(0, 4, 0, TruncationConfig(1, 5, 5))
-        assert edge_occupancy(s) == pytest.approx(1.0)

@@ -101,6 +101,27 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="sectors"):
             evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, steps=1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.5), ("steps", True), ("record_every", 2.0), ("record_every", True),
+    ])
+    def test_non_integer_counts_rejected_before_diagonalizing(self, monkeypatch, field, value):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
+        counts = {"steps": 4, "record_every": 1, field: value}
+        with pytest.raises(ValidationError, match=field):
+            evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, **counts))
+
+    def test_evolving_a_final_state_again_restarts_leakage(self):
+        # the leakage estimate belongs to a trajectory, not to the state it ends in
+        spec = EvolutionSpec(HamiltonianParams(1.0), dt=0.01, steps=50)
+        first = evolve(basis_state(2, 2, 2, TruncationConfig(3, 3, 3)), spec)
+        assert first.leakage > 0
+        second = evolve(first.final_state, spec)
+        assert second.leakages[0] == 0.0
+
     def test_recording_cadence(self):
         s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.02, steps=10, record_every=4))
@@ -186,3 +207,10 @@ class TestRateOf:
             # absurdly large step: the h and h/2 estimates cannot agree
             rate_of(s0, HamiltonianParams(0.5), lambda s: measure(s).disp_plus, h=5.0, tol=1e-12)
         assert err.value.estimate_h != err.value.estimate_h2
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-4])
+    def test_rejects_a_tolerance_that_is_not_positive_and_finite(self, tol):
+        # a nan tolerance would let every Richardson check pass, the noisy one above included
+        s0 = product_state(coherent(1.0, 15), twb(0.3, 12))
+        with pytest.raises(ValidationError, match="tol"):
+            rate_of(s0, HamiltonianParams(0.5), lambda s: measure(s).disp_plus, h=5.0, tol=tol)
