@@ -12,8 +12,6 @@ is accepted for compatibility and ignored.
 """
 
 import argparse
-import dataclasses
-import json
 import math
 import sys
 
@@ -167,6 +165,7 @@ def write_output(out, fmt, command, raw_config, columns, rows):
             "columns": list(columns),
             "rows": [[v if isinstance(v, str) else _json_num(v) for v in row] for row in rows],
         }
+        import json  # imported here so that a CSV run never loads it
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -189,8 +188,10 @@ def _build_exact_state(cfg):
     Raises DimensionTooSmallError when d0 cuts off more than
     COHERENT_TAIL_WARN of the pump, as twb and tmc do for the pair cutoff.
     """
-    alpha = cfg["alpha"]
-    d0 = cfg["d0"] if cfg["d0"] > 0 else pump_dimension(alpha)
+    alpha, d0 = cfg["alpha"], cfg["d0"]
+    if d0 < 0:
+        raise ValidationError(f"d0 must be 0 (choose from alpha) or >= 1, got {d0}")
+    d0 = d0 or pump_dimension(alpha)
     d = cfg["pair_dim"]
     TruncationConfig(d0, d, d)  # refuse an oversized box before building any of it
     pump = coherent(alpha, d0)
@@ -302,11 +303,11 @@ def cmd_compare(cfg):
     return columns, rows
 
 
-_REPORT_FIELDS = [f.name for f in dataclasses.fields(DispersionReport)]
+_REPORT_FIELDS = list(DispersionReport._fields)
 
 
 def cmd_dispersion(cfg):
-    rows = [dataclasses.astuple(build_report(cfg["family"], param, cfg["chi"], cfg["alpha"]))
+    rows = [build_report(cfg["family"], param, cfg["chi"], cfg["alpha"])
             for param in cfg["params"]]
     return _REPORT_FIELDS, rows
 
@@ -314,7 +315,7 @@ def cmd_dispersion(cfg):
 def _scan_row(family, param, chi, alpha):
     """One scan CSV row; its last cell is "ok" or the error of a failed point."""
     try:
-        return [*dataclasses.astuple(build_report(family, param, chi, alpha)), "ok"]
+        return [*build_report(family, param, chi, alpha), "ok"]
     except (ValidationError, NumericalError) as exc:
         # keep the status cell free of CSV separators
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
@@ -335,6 +336,7 @@ def cmd_scan(cfg):
 
 
 def _error_record(exc):
+    import json
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 

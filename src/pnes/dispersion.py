@@ -21,7 +21,7 @@ oracle the tests check ``exact_rate`` against, and no report uses it.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .states import (
 FAMILIES = ("twb", "tmc")
 
 
-@dataclass
-class DispersionReport:
+class DispersionReport(NamedTuple):
     family: str
     param: float
     chi: float

@@ -3,7 +3,8 @@
 Amplitudes are stored as a dense complex vector with row-major layout,
 pump index slowest: flat index of |n0, n1, n2> is (n0*d1 + n1)*d2 + n2.
 This is the exchange format of the package; this module holds only the
-box, the coupling and the state.  The interaction generator and the
+box and the coupling (immutable NamedTuples whose constructors check their
+fields) and the state.  The interaction generator and the
 moments act on the sector layout of ``kernels``, which keeps only the
 occupied n1 - n2 sectors: a PureState enters it through
 ``kernels.as_sectors`` and is scattered back on the way out.  Truncation is
@@ -11,7 +12,7 @@ a hard cutoff; the propagator's estimate of the probability that reached
 it lives on its trajectory (``ExactTrajectory.leakage``), not on the state.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,23 +22,22 @@ from .errors import ValidationError
 MAX_TOTAL_DIM = 1 << 26
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
+class TruncationConfig(NamedTuple("TruncationConfig", [("d0", int), ("d1", int), ("d2", int)])):
     """Per-mode Fock cutoffs; mode m holds occupations 0 .. d_m - 1."""
 
-    d0: int
-    d1: int
-    d2: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        for name in ("d0", "d1", "d2"):
-            d = getattr(self, name)
+    def __new__(cls, d0, d1, d2):
+        for name, d in (("d0", d0), ("d1", d1), ("d2", d2)):
             if not isinstance(d, (int, np.integer)) or d < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {d!r}")
+        self = super().__new__(cls, d0, d1, d2)
         if self.dim > MAX_TOTAL_DIM:
             raise ValidationError(
                 f"total dimension {self.dim} exceeds the supported maximum {MAX_TOTAL_DIM}"
             )
+        return self
 
     @property
     def dim(self):
@@ -48,34 +48,32 @@ class TruncationConfig:
         return (self.d0, self.d1, self.d2)
 
 
-@dataclass(frozen=True)
-class HamiltonianParams:
+class HamiltonianParams(NamedTuple("HamiltonianParams", [("chi", float)])):
     """Coupling strength of the trilinear interaction, units 1/time.
 
     The modes are resonant, omega_0 = omega_1 + omega_2: the propagator
     works in the rotating frame, where only this coupling remains.
     """
 
-    chi: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not np.isfinite(self.chi) or self.chi < 0:
-            raise ValidationError(f"chi must be finite and >= 0, got {self.chi!r}")
+    def __new__(cls, chi):
+        if not np.isfinite(chi) or chi < 0:
+            raise ValidationError(f"chi must be finite and >= 0, got {chi!r}")
+        return super().__new__(cls, chi)
 
 
-@dataclass
 class PureState:
     """Normalized amplitude vector over the three-mode Fock basis."""
 
-    config: TruncationConfig
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != self.config.dim:
+    def __init__(self, config, amplitudes):
+        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        if amps.size != config.dim:
             raise ValidationError(
-                f"amplitude vector length {amps.size} != config dimension {self.config.dim}"
+                f"amplitude vector length {amps.size} != config dimension {config.dim}"
             )
+        self.config = config
         self.amplitudes = amps
 
     def grid(self):

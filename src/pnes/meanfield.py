@@ -22,7 +22,7 @@ arithmetic over all pieces of the time grid at once.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +31,13 @@ from .errors import ExtrapolationError, StepSizeError, ValidationError
 _ODE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PumpProfile:
+class PumpProfile(NamedTuple):
     """Prescribed classical pump amplitude a(t).
 
     Variants: constant (a for t >= 0, zero before), rectangular (a on
     [0, T]), gaussian, and sampled (linear interpolation; zero before the
-    first sample, error past the last).
+    first sample, error past the last).  An immutable NamedTuple; build it
+    with the classmethod of its variant, which checks the arguments.
     """
 
     variant: str
@@ -160,8 +160,7 @@ def twb_x_from_tau(tau):
     return math.tanh(tau)
 
 
-@dataclass
-class ModelTrajectory:
+class ModelTrajectory(NamedTuple):
     """Model solution on a time grid; ``tau`` is None from ``integrate_model``
     (the ODE does not need it; ``closed_form_trajectory`` reports it)."""
 

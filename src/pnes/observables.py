@@ -12,8 +12,8 @@ follows the occupied n1 - n2 sectors, not the dense grid:
     K   = n0 + (n1+n2)/2   conserved total excitation
 
 ``measure`` is the one moment pass: it computes every moment of a state
-together and returns them as an ``ObservableSet``; read one moment as
-``measure(s).<field>``.  ``expect_pair_amplitude`` and
+together and returns them as an ``ObservableSet``, a NamedTuple; read one
+moment as ``measure(s).<field>``.  ``expect_pair_amplitude`` and
 ``expect_total_number`` read the two fields the model compares against.
 A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1) and n1 n2), so
 the dispersions never need a materialized operator and stay exact at the
@@ -21,7 +21,7 @@ cutoff edge.  ``disp_plus_rate`` gives dD_{C+}/dt from the equation of
 motion, with one application of the generator.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from . import kernels
 from .errors import ValidationError
 
 
-@dataclass
-class ObservableSet:
+class ObservableSet(NamedTuple):
     """One snapshot of every observable the analysis uses."""
 
     pair_amp: complex

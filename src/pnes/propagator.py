@@ -19,10 +19,11 @@ exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps``
 only set the output grid.  The norm is reported, never renormalized.  The
 leakage estimate belongs to the trajectory, not to the state: every
 ``evolve`` starts it at 0 and adds dt^2 times the squared boundary flux
-(``kernels.discard_flux_sq``) per step.
+(``kernels.discard_flux_sq``) per step, an Euler heuristic that grows with
+dt and is not a probability.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,28 +33,29 @@ from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState, TruncationConfig
 from .observables import measure
 
 
-@dataclass(frozen=True)
-class EvolutionSpec:
-    params: HamiltonianParams
-    dt: float
-    steps: int
-    record_every: int = 1
+class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), ("dt", float),
+                                                  ("steps", int), ("record_every", int)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        for name in ("steps", "record_every"):
-            n = getattr(self, name)
+    def __new__(cls, params, dt, steps, record_every=1):
+        for name, n in (("steps", steps), ("record_every", record_every)):
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {n!r}")
-        if self.dt == 0 or not np.isfinite(self.dt):
-            raise ValidationError(f"dt must be finite and nonzero, got {self.dt!r}")
-        if self.steps < 0:
-            raise ValidationError(f"steps must be >= 0, got {self.steps}")
-        if self.record_every < 1:
-            raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
+        if dt == 0 or not np.isfinite(dt):
+            raise ValidationError(f"dt must be finite and nonzero, got {dt!r}")
+        if steps < 0:
+            raise ValidationError(f"steps must be >= 0, got {steps}")
+        if record_every < 1:
+            raise ValidationError(f"record_every must be >= 1, got {record_every}")
+        return super().__new__(cls, params, dt, steps, record_every)
 
 
-@dataclass
-class ExactTrajectory:
+class ExactTrajectory(NamedTuple):
+    """What ``evolve`` records.  Its ``leakage`` and ``leakages`` are an Euler
+    heuristic, not a probability: they grow with ``dt`` (50 steps of dt = 1e6
+    on a 4-level pair box give 2.2e14).  ``final_state`` is built on read."""
+
     times: np.ndarray
     observables: list
     norms: np.ndarray
@@ -126,7 +128,8 @@ def evolve(s0, spec):
     """exp(G t) s0 at t = dt, 2 dt, ..., steps * dt, exact at each time.
 
     s0 is a PureState or a ``kernels.Sectors`` (see ``kernels.as_sectors``);
-    the leakage estimate starts at 0 on every call.  Observables are
+    the leakage estimate, a heuristic that grows with dt (see
+    ``ExactTrajectory``), starts at 0 on every call.  Observables are
     recorded every record_every steps (always including the initial and
     final times).  The dense final state is built only when ``final_state``
     is read.  Raises ValidationError when the blocks' eigenvectors would not

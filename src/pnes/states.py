@@ -9,7 +9,7 @@ so state-construction error is negligible against every test tolerance.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ TAIL_TOL = 1e-12
 COHERENT_TAIL_WARN = 1e-6
 
 
-@dataclass
-class CoherentMode:
+class CoherentMode(NamedTuple):
     """Single-mode coherent amplitudes, renormalized after truncation.
 
     ``tail_mass`` is the pre-truncation probability beyond the cutoff;

@@ -3,7 +3,11 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import pnes
+from pnes import EvolutionSpec, HamiltonianParams, PumpProfile, TruncationConfig
+from pnes.errors import ValidationError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,3 +57,41 @@ def test_readme_entry_points_are_public():
     names = re.findall(r"\w+", names)
     assert names
     assert [name for name in names if name not in pnes.__all__] == []
+
+
+def test_truncation_config_has_value_equality_and_hash():
+    cfg = TruncationConfig(2, 3, 4)
+    assert cfg == TruncationConfig(2, 3, 4)
+    assert cfg != TruncationConfig(2, 3, 5)
+    assert hash(cfg) == hash(TruncationConfig(d0=2, d1=3, d2=4))
+    assert len({cfg, TruncationConfig(2, 3, 4), TruncationConfig(4, 3, 2)}) == 2
+    assert (cfg.dim, cfg.shape) == (24, (2, 3, 4))
+
+
+@pytest.mark.parametrize("value", [
+    TruncationConfig(2, 3, 4),
+    HamiltonianParams(0.1),
+    EvolutionSpec(HamiltonianParams(0.1), dt=0.01, steps=3),
+    PumpProfile.gaussian(1.0, 0.0, 0.5),
+], ids=["TruncationConfig", "HamiltonianParams", "EvolutionSpec", "PumpProfile"])
+def test_frozen_types_reject_assignment(value):
+    name = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value, change", [
+    (TruncationConfig(2, 3, 4), {"d1": 0}),
+    (HamiltonianParams(0.1), {"chi": -1.0}),
+    (EvolutionSpec(HamiltonianParams(0.1), dt=0.01, steps=3), {"steps": -1}),
+], ids=["TruncationConfig", "HamiltonianParams", "EvolutionSpec"])
+def test_replace_runs_the_constructor_checks(value, change):
+    with pytest.raises(ValidationError):
+        value._replace(**change)
+
+
+def test_pump_profile_amplitude_is_a_class_attribute():
+    # perfbench counts PumpProfile.amplitude calls by replacing this entry
+    assert "amplitude" in PumpProfile.__dict__

@@ -370,6 +370,13 @@ class TestDispersion:
         for r in rows:
             assert abs(float(r[j]) - 2.0) < 2e-3
 
+    def test_header_is_the_report_fields(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", DISPERSION_CFG)
+        out = tmp_path / "out.csv"
+        assert main(["dispersion", "--config", cfg, "--out", str(out)]) == 0
+        _, columns, _ = read_csv(out)
+        assert columns == list(pnes.DispersionReport._fields)
+
 
 class TestScan:
     def test_grid_rows_and_worker_independence(self, tmp_path):
@@ -458,20 +465,20 @@ def test_import_does_not_load_the_process_pool():
     assert run.stdout.strip() == "False"
 
 
-def _loads_numpy_ma(tmp_path, command, cfg_text):
-    """Whether a fresh interpreter imports numpy.ma while running one command."""
+def _loaded(tmp_path, command, cfg_text, modules, fmt="csv"):
+    """Which of ``modules`` a fresh interpreter imports while running one command."""
     cfg = write_cfg(tmp_path / "c.cfg", cfg_text)
-    argv = [command, "--config", cfg, "--out", str(tmp_path / "o.csv")]
+    argv = [command, "--config", cfg, "--out", str(tmp_path / f"o.{fmt}"), "--format", fmt]
     code = (f"import sys, pnes.cli; assert pnes.cli.main({argv!r}) == 0; "
-            "print('numpy.ma' in sys.modules)")
+            f"print(*[m for m in {list(modules)!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(pnes.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
-    return run.stdout.strip() == "True"
+    return run.stdout.split()
 
 
 def test_evolve_exact_does_not_load_numpy_ma(tmp_path):
-    assert not _loads_numpy_ma(tmp_path, "evolve-exact", EVOLVE_EXACT_CFG)
+    assert _loaded(tmp_path, "evolve-exact", EVOLVE_EXACT_CFG, ["numpy.ma"]) == []
 
 
 @pytest.mark.parametrize("command, text", [
@@ -482,7 +489,20 @@ def test_evolve_exact_does_not_load_numpy_ma(tmp_path):
     ("scan", SCAN_CFG),
 ], ids=["evolve-model-gaussian", "evolve-model-sampled-kink", "scan"])
 def test_does_not_load_numpy_ma(tmp_path, command, text):
-    assert not _loads_numpy_ma(tmp_path, command, text)
+    assert _loaded(tmp_path, command, text, ["numpy.ma"]) == []
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve-exact", EVOLVE_EXACT_CFG),
+    ("evolve-model", EVOLVE_MODEL_CFG),
+    ("scan", SCAN_CFG),
+], ids=["evolve-exact", "evolve-model", "scan"])
+def test_csv_run_loads_neither_dataclasses_nor_json(tmp_path, command, text):
+    assert _loaded(tmp_path, command, text, ["dataclasses", "json"]) == []
+
+
+def test_json_run_loads_json(tmp_path):
+    assert _loaded(tmp_path, "scan", SCAN_CFG, ["dataclasses", "json"], fmt="json") == ["json"]
 
 
 @pytest.mark.parametrize("command, text", [
@@ -544,6 +564,28 @@ def test_default_d0_needs_a_finite_alpha(tmp_path, capsys, command, text, alpha)
     record = json.loads(lines[0])
     assert record["error"] == "ValidationError"
     assert "alpha" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve-exact", EVOLVE_EXACT_CFG),
+    ("compare", COMPARE_CFG),
+], ids=["evolve-exact", "compare"])
+def test_negative_d0_rejected_before_building_a_state(tmp_path, capsys, monkeypatch,
+                                                      command, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or evolved a state")
+
+    monkeypatch.setattr(pnes.cli, "evolve", refuse)
+    monkeypatch.setattr(pnes.cli, "coherent", refuse)
+    cfg = write_cfg(tmp_path / "c.cfg", text + "d0 = -7\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ValidationError"
+    assert "d0" in record["message"] and "-7" in record["message"]
     assert not out.exists()
 
 
