@@ -95,19 +95,23 @@ def read_config_file(path):
     """Parse a flat ``key = value`` document; '#' starts a comment."""
     raw = {}
     problems = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                problems.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-                continue
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key in raw:
-                problems.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            raw[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path} is not UTF-8: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            problems.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
+            continue
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in raw:
+            problems.append(f"line {lineno}: duplicate key {key!r}")
+            continue
+        raw[key] = value
     if problems:
         raise ValidationError("; ".join(problems))
     return raw
@@ -234,21 +238,18 @@ def cmd_evolve_exact(cfg):
 
 
 def _build_profile(cfg):
-    variant = cfg["profile"]
-    if variant == "constant":
-        return PumpProfile.constant(cfg["amplitude"])
-    if variant == "rectangular":
-        return PumpProfile.rectangular(cfg["amplitude"], cfg["duration"])
-    if variant == "gaussian":
-        return PumpProfile.gaussian(cfg["amplitude"], cfg["center"], cfg["width"])
-    if variant == "sampled":
-        return PumpProfile.sampled(cfg["profile_times"], cfg["profile_values"])
-    raise ValidationError(f"unknown profile {variant!r}")
+    return PumpProfile(cfg["profile"], a=cfg["amplitude"], T=cfg["duration"],
+                       t_center=cfg["center"], width=cfg["width"],
+                       times=cfg["profile_times"], values=cfg["profile_values"])
 
 
 def cmd_evolve_model(cfg):
     profile = _build_profile(cfg)
-    grid = np.linspace(cfg["t_start"], cfg["t_stop"], cfg["n_points"])
+    t_start, t_stop, n_points = cfg["t_start"], cfg["t_stop"], cfg["n_points"]
+    if not (math.isfinite(t_start) and math.isfinite(t_stop) and n_points >= 2):
+        raise ValidationError("the time grid needs finite t_start and t_stop and n_points >= 2, "
+                              f"got t_start={t_start!r}, t_stop={t_stop!r}, n_points={n_points}")
+    grid = np.linspace(t_start, t_stop, n_points)
     ode = integrate_model(profile, cfg["chi"], grid, cfg["assume_zero_initial"])
     cf = closed_form_trajectory(profile, cfg["chi"], grid)
     columns = ["t", "a", "tau", "Lambda_cf", "N_cf", "Lambda_ode", "N_ode",

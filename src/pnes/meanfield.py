@@ -13,7 +13,7 @@ integral characteristic tau(t) = chi * integral of a up to t:
 
 The model has the first integral (N+1)^2 - 4 Lambda^2 = 1 and is realized
 exactly by the twin-beam family via x = tanh(tau).  Pump depletion is out
-of scope: no back-reaction on a(t) is modeled.
+of scope: no back-reaction on a(t), the model's one input, is modeled.
 
 The ODE is also integrated by RK4 (``integrate_model``), as an independent
 check of the closed form.  The system is linear in (Lambda, N, 1), so each
@@ -26,71 +26,75 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ExtrapolationError, StepSizeError, ValidationError
+from .errors import ExtrapolationError, NumericalError, StepSizeError, ValidationError
 
 _ODE_TOL = 1e-8
 
 
-class PumpProfile(NamedTuple):
+class PumpProfile(NamedTuple("PumpProfile", [
+        ("variant", str), ("a", float), ("T", float), ("t_center", float),
+        ("width", float), ("times", np.ndarray), ("values", np.ndarray)])):
     """Prescribed classical pump amplitude a(t).
 
-    Variants: constant (a for t >= 0, zero before), rectangular (a on
-    [0, T]), gaussian, and sampled (linear interpolation; zero before the
-    first sample, error past the last).  An immutable NamedTuple; build it
-    with the classmethod of its variant, which checks the arguments.
+    Variants: rectangular (a on [0, T]), constant (a for t >= 0, zero
+    before: a rectangle whose T the constructor sets to inf), gaussian, and
+    sampled (linear interpolation; zero before the first sample, error past
+    the last).  Each variant reads only its own fields.  An immutable
+    NamedTuple whose constructor, ``_replace`` included, checks those fields;
+    the classmethods name them.
     """
 
-    variant: str
-    a: float = 0.0
-    T: float = 0.0
-    t_center: float = 0.0
-    width: float = 0.0
-    times: np.ndarray = None
-    values: np.ndarray = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, variant, a=0.0, T=0.0, t_center=0.0, width=0.0, times=None, values=None):
+        if variant == "sampled":
+            times = np.asarray(times, dtype=float)
+            values = np.asarray(values, dtype=float)
+            if times.ndim != 1 or times.size < 2 or times.size != values.size:
+                raise ValidationError("sampled profile needs matching 1-d times/values, >= 2 points")
+            if not np.all(np.diff(times) > 0):
+                raise ValidationError("sampled times must be strictly increasing")
+            if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+                raise ValidationError("sampled profile must be finite")
+        elif variant not in ("constant", "rectangular", "gaussian"):
+            raise ValidationError(f"unknown profile {variant!r}")
+        elif not np.isfinite(a):
+            raise ValidationError(f"pump amplitude must be finite, got {a!r}")
+        elif variant == "constant":
+            T = math.inf
+        elif variant == "rectangular" and not (np.isfinite(T) and T > 0):
+            raise ValidationError(f"rectangular pulse duration must be > 0, got {T!r}")
+        elif variant == "gaussian" and not (np.isfinite(width) and width > 0):
+            raise ValidationError(f"gaussian width must be > 0, got {width!r}")
+        elif variant == "gaussian" and not np.isfinite(t_center):
+            raise ValidationError(f"gaussian center must be finite, got {t_center!r}")
+        return super().__new__(cls, variant, a, T, t_center, width, times, values)
 
     @classmethod
     def constant(cls, a):
-        _check_amp(a)
         return cls("constant", a=a)
 
     @classmethod
     def rectangular(cls, a, T):
-        _check_amp(a)
-        if not (np.isfinite(T) and T > 0):
-            raise ValidationError(f"rectangular pulse duration must be > 0, got {T!r}")
         return cls("rectangular", a=a, T=T)
 
     @classmethod
     def gaussian(cls, a_peak, t_center, width):
-        _check_amp(a_peak)
-        if not (np.isfinite(width) and width > 0):
-            raise ValidationError(f"gaussian width must be > 0, got {width!r}")
-        if not np.isfinite(t_center):
-            raise ValidationError(f"gaussian center must be finite, got {t_center!r}")
         return cls("gaussian", a=a_peak, t_center=t_center, width=width)
 
     @classmethod
     def sampled(cls, times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.size < 2 or times.size != values.size:
-            raise ValidationError("sampled profile needs matching 1-d times/values, >= 2 points")
-        if not np.all(np.diff(times) > 0):
-            raise ValidationError("sampled times must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValidationError("sampled profile must be finite")
         return cls("sampled", times=times, values=values)
 
     def amplitude(self, t):
         """a(t) at a time or an array of times; a float for a scalar time."""
         t = np.asarray(t, dtype=float)
-        if self.variant == "constant":
-            a = np.where(t >= 0, self.a, 0.0)
-        elif self.variant == "rectangular":
-            a = np.where((t >= 0) & (t <= self.T), self.a, 0.0)
-        elif self.variant == "gaussian":
+        if self.variant == "gaussian":
             z = (t - self.t_center) / self.width
             a = self.a * np.exp(-0.5 * z * z)
+        elif self.variant != "sampled":  # a rectangle, T = inf for a constant pump
+            a = np.where((t >= 0) & (t <= self.T), self.a, 0.0)
         elif np.any(t > self.times[-1]):  # sampled: zero before the support, error past it
             raise ExtrapolationError(
                 f"sampled profile queried at t={np.max(t)} past its support end {self.times[-1]}"
@@ -105,38 +109,28 @@ class PumpProfile(NamedTuple):
         return abs(self.a)
 
     def breakpoints(self):
-        """Times where the profile or its slope jumps (integration split points)."""
-        if self.variant == "constant":
-            return (0.0,)
-        if self.variant == "rectangular":
-            return (0.0, self.T)
+        """Times where the profile or its slope jumps (integration split points);
+        a constant pump's end, inf, lies past any grid."""
         if self.variant == "sampled":
             return tuple(self.times.tolist())
-        return ()
-
-
-def _check_amp(a):
-    if not np.isfinite(a):
-        raise ValidationError(f"pump amplitude must be finite, got {a!r}")
+        return () if self.variant == "gaussian" else (0.0, self.T)
 
 
 def tau_of_t(p, chi, t):
     """tau(t) = chi * integral of a(t') from -infinity to t, in closed form.
 
-    Constant and rectangular profiles integrate to ramps; the gaussian to
+    Rectangular profiles (constant: T = inf) integrate to ramps; the gaussian to
     chi a w sqrt(pi/2) erfc(-(t - c) / (w sqrt 2)), which keeps its relative
     precision in the left tail; a sampled profile to the exact area under
     its linear interpolant (ExtrapolationError past the last sample).
     """
     if chi < 0 or not np.isfinite(chi):
         raise ValidationError(f"chi must be finite and >= 0, got {chi!r}")
-    if p.variant == "constant":
-        return chi * p.a * max(t, 0.0)
-    if p.variant == "rectangular":
-        return chi * p.a * min(max(t, 0.0), p.T)
     if p.variant == "gaussian":
         z = -(t - p.t_center) / (p.width * math.sqrt(2.0))
         return chi * p.a * p.width * math.sqrt(0.5 * math.pi) * math.erfc(z)
+    if p.variant != "sampled":  # a rectangle, T = inf for a constant pump
+        return chi * p.a * min(max(t, 0.0), p.T)
     # sampled: whole trapezoids before t plus the partial segment up to t
     if t <= p.times[0]:
         return 0.0
@@ -246,7 +240,8 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
     sample use 0, the value before it.  The first grid point must precede the
     pump (a(t0) < 1e-14) unless assume_zero_initial declares the vacuum
     start explicitly.  Accuracy is verified by step halving: a disagreement
-    above 1e-8 * max(1, |value|) raises StepSizeError.
+    above 1e-8 * max(1, |value|) raises StepSizeError, and a state that
+    overflows float64 raises NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -263,11 +258,15 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
 
     dt_max = float(np.max(np.diff(t_grid)))
     n_sub = max(4, math.ceil(400.0 * chi * p.peak() * dt_max))
-    l1, n1 = _rk4_pass(p, chi, t_grid, n_sub)
-    l2, n2 = _rk4_pass(p, chi, t_grid, 2 * n_sub)
-    err = max(float(np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))))
-              for coarse, fine in ((l1, l2), (n1, n2)))
-    if err > _ODE_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        l1, n1 = _rk4_pass(p, chi, t_grid, n_sub)
+        l2, n2 = _rk4_pass(p, chi, t_grid, 2 * n_sub)
+        err = max(float(np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))))
+                  for coarse, fine in ((l1, l2), (n1, n2)))
+    overflow = ~(np.isfinite(l2) & np.isfinite(n2))
+    if overflow.any():
+        raise NumericalError(f"the model overflows float64 by t={float(t_grid[overflow.argmax()])!r}")
+    if not err <= _ODE_TOL:  # also when err is nan
         raise StepSizeError(
             f"step-halving error estimate {err:.3e} exceeds {_ODE_TOL:.0e} * max(1, |value|)"
         )

@@ -86,7 +86,8 @@ def test_frozen_types_reject_assignment(value):
     (TruncationConfig(2, 3, 4), {"d1": 0}),
     (HamiltonianParams(0.1), {"chi": -1.0}),
     (EvolutionSpec(HamiltonianParams(0.1), dt=0.01, steps=3), {"steps": -1}),
-], ids=["TruncationConfig", "HamiltonianParams", "EvolutionSpec"])
+    (PumpProfile.constant(1.0), {"a": float("inf")}),
+], ids=["TruncationConfig", "HamiltonianParams", "EvolutionSpec", "PumpProfile"])
 def test_replace_runs_the_constructor_checks(value, change):
     with pytest.raises(ValidationError):
         value._replace(**change)

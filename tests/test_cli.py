@@ -105,6 +105,17 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="zz"):
             validate_config("dispersion", raw)
 
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "a.cfg"
+        path.write_bytes(EVOLVE_MODEL_CFG.encode("utf-8") + b"\xff\xfe")
+        with pytest.raises(ValidationError, match="UTF-8"):
+            read_config_file(str(path))
+        assert main(["evolve-model", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError"
+        assert captured.out == ""
+
 
 class TestEvolveExact:
     def test_conservation_columns(self, tmp_path):
@@ -307,6 +318,34 @@ class TestEvolveModel:
         cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_MODEL_CFG.replace("rectangular", "sawtooth"))
         assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "sawtooth" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("key, value", [("n_points", "-3"), ("t_stop", "inf")])
+    def test_bad_grid_rejected_before_building_it(self, tmp_path, capsys, key, value):
+        text = EVOLVE_MODEL_CFG.replace(f"{key} = ", f"{key} = {value}\n# ")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert f"{key}={value}" in record["message"]
+        assert not out.exists()
+
+    def test_overflowing_model_is_a_numerical_error(self, tmp_path, capsys):
+        # tau reaches 1000, and N ~ exp(2 tau) / 2 overflows float64 past tau ~ 355;
+        # pytest turns the RuntimeWarning of an unguarded overflow into an error
+        text = ("profile = constant\namplitude = 1\nchi = 1\nt_start = 0\nt_stop = 1000\n"
+                "n_points = 11\nassume_zero_initial = yes\n")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "NumericalError"
+        assert "overflows" in record["message"]
+        assert not out.exists()
 
     def test_assume_zero_initial_must_be_boolean(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_MODEL_CFG + "assume_zero_initial = maybe\n")

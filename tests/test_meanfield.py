@@ -112,6 +112,25 @@ class TestPumpProfile:
         with pytest.raises(ValidationError):
             PumpProfile.constant(float("inf"))
 
+    @pytest.mark.parametrize("args, kwargs, match", [
+        (("sawtooth",), {"a": 1.0}, "unknown profile 'sawtooth'"),
+        (("constant",), {"a": float("nan")}, "amplitude must be finite"),
+        (("rectangular",), {"a": 1.0, "T": -1.0}, "duration must be > 0"),
+        (("gaussian",), {"a": 1.0, "t_center": math.inf, "width": 1.0}, "center must be finite"),
+        (("sampled",), {}, "needs matching 1-d times/values"),
+    ], ids=["unknown", "nan-amplitude", "negative-duration", "infinite-center", "no-samples"])
+    def test_constructor_checks(self, args, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            PumpProfile(*args, **kwargs)
+
+    def test_constant_is_an_endless_rectangle(self):
+        p = PumpProfile.constant(0.7)
+        assert p == PumpProfile("constant", a=0.7, T=5.0)
+        assert (p.T, p.breakpoints()) == (math.inf, (0.0, math.inf))
+        t = np.array([-1.0, 0.0, 1e300])
+        assert p.amplitude(t).tolist() == [0.0, 0.7, 0.7]
+        assert [tau_of_t(p, 2.0, x) for x in t] == [0.0, 0.0, 1.4 * 1e300]
+
 
 class TestTauOfT:
     def test_rectangular_piecewise(self):
