@@ -7,8 +7,10 @@ Configs are flat ``key = value`` files; unknown keys are errors and every
 violation is reported, not just the first.  Outputs are deterministic:
 identical configs produce byte-identical files.  Exit codes: 0 success,
 1 validation or usage error, 2 numerical failure, 3 partial scan failure.
-``scan`` always runs its points serially; ``--workers N`` (an integer >= 1)
-is accepted for compatibility and ignored.
+``evolve-exact`` and ``compare`` (a vacuum pair) take their initial state
+from ``states.initial_state``, as the dispersion reports do.  ``scan``
+always runs its points serially; ``--workers N`` (an integer >= 1) is
+accepted for compatibility and ignored.
 """
 
 import argparse
@@ -19,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from .dispersion import DispersionReport, build_report
-from .errors import DimensionTooSmallError, NumericalError, ValidationError
-from .fock import HamiltonianParams, TruncationConfig
+from .errors import NumericalError, ValidationError
+from .fock import HamiltonianParams
 from .meanfield import PumpProfile, closed_form_trajectory, integrate_model
 from .propagator import EvolutionSpec, evolve
-from .states import COHERENT_TAIL_WARN, coherent, pnes, product_sectors, pump_dimension, tmc, twb
+from .states import initial_state
 
 REQUIRED = object()
 
@@ -187,32 +189,8 @@ def _json_num(v):
 
 
 def _build_exact_state(cfg):
-    """coherent(alpha) on d0 pump levels times the family's pair state, as sectors.
-
-    Raises DimensionTooSmallError when d0 cuts off more than
-    COHERENT_TAIL_WARN of the pump, as twb and tmc do for the pair cutoff.
-    """
-    alpha, d0 = cfg["alpha"], cfg["d0"]
-    if d0 < 0:
-        raise ValidationError(f"d0 must be 0 (choose from alpha) or >= 1, got {d0}")
-    d0 = d0 or pump_dimension(alpha)
-    d = cfg["pair_dim"]
-    TruncationConfig(d0, d, d)  # refuse an oversized box before building any of it
-    pump = coherent(alpha, d0)
-    if pump.tail_warning:
-        raise DimensionTooSmallError(
-            f"pump tail mass {pump.tail_mass:.3e} at d0={d0}, alpha={alpha!r} "
-            f"exceeds {COHERENT_TAIL_WARN:.0e}; increase d0"
-        )
-    if cfg["family"] == "vacuum":
-        pair = pnes([1.0], d)
-    elif cfg["family"] == "twb":
-        pair = twb(cfg["param"], d)
-    elif cfg["family"] == "tmc":
-        pair = tmc(cfg["param"], d)
-    else:
-        raise ValidationError(f"family must be vacuum, twb or tmc, got {cfg['family']!r}")
-    return product_sectors(pump, pair)
+    """The config's coherent(alpha) x family(param) on (d0, pair_dim), as sectors."""
+    return initial_state(cfg["family"], cfg["param"], cfg["alpha"], cfg["d0"], cfg["pair_dim"])
 
 
 def cmd_evolve_exact(cfg):
@@ -288,7 +266,7 @@ def _step_count(t_stop, dt):
 def cmd_compare(cfg):
     alpha, chi = cfg["alpha"], cfg["chi"]
     steps = _step_count(cfg["t_stop"], cfg["dt"])
-    s0 = _build_exact_state(dict(cfg, family="vacuum"))
+    s0 = _build_exact_state(dict(cfg, family="vacuum", param=0.0))
     spec = EvolutionSpec(HamiltonianParams(chi), dt=cfg["dt"], steps=steps,
                          record_every=cfg["record_every"])
     traj = evolve(s0, spec)

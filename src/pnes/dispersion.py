@@ -14,7 +14,9 @@ family, four values of dD_{C+}/dt at t = 0 are assembled per point:
                     only: it reproduces the TMC value but not the TWB one
 
 Ground truth is the equation-of-motion rate; it depends only on the
-interaction generator, the truncated C+ and the state constructors.
+interaction generator, the truncated C+ and the state constructors.  Each
+point's state is ``states.initial_state`` on ``default_truncation``'s box:
+the family's smallest cutoff plus two pair levels.
 ``exact_rate_fd`` gets the same number independently, by Richardson finite
 differences of short evolutions (``propagator.rate_of``); it is kept as the
 oracle the tests check ``exact_rate`` against, and no report uses it.
@@ -29,15 +31,7 @@ from .errors import ValidationError
 from .fock import HamiltonianParams, TruncationConfig
 from .observables import disp_plus_rate, measure
 from .propagator import rate_of
-from .states import (
-    coherent,
-    min_dimension_tmc,
-    min_dimension_twb,
-    product_sectors,
-    pump_dimension,
-    tmc,
-    twb,
-)
+from .states import PAIR_FAMILIES, initial_state, pump_dimension
 
 FAMILIES = ("twb", "tmc")
 
@@ -99,19 +93,14 @@ def model_rate_from_trajectory(family, param, chi, alpha):
 def default_truncation(family, param, alpha):
     """Cutoffs holding constructor tails below 1e-12 with a margin of two pair levels."""
     d0 = pump_dimension(alpha)
-    if family == "twb":
-        d = min_dimension_twb(param)
-    else:
-        d = min_dimension_tmc(param)
-    return TruncationConfig(d0, d + 2, d + 2)
+    d = PAIR_FAMILIES[family][1](param) + 2
+    return TruncationConfig(d0, d, d)
 
 
 def _make_state(family, param, alpha):
-    """coherent(alpha) x family(param) on the sector layout, as ``kernels.Sectors``."""
+    """``states.initial_state`` on the ``default_truncation`` box, as ``kernels.Sectors``."""
     trunc = default_truncation(family, param, alpha)
-    pump = coherent(alpha, trunc.d0)
-    pair = twb(param, trunc.d1) if family == "twb" else tmc(param, trunc.d1)
-    return product_sectors(pump, pair)
+    return initial_state(family, param, alpha, trunc.d0, trunc.d1)
 
 
 def exact_rate(family, param, chi, alpha):

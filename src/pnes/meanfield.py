@@ -33,13 +33,14 @@ _ODE_TOL = 1e-8
 
 class PumpProfile(NamedTuple("PumpProfile", [
         ("variant", str), ("a", float), ("T", float), ("t_center", float),
-        ("width", float), ("times", np.ndarray), ("values", np.ndarray)])):
+        ("width", float), ("times", tuple), ("values", tuple)])):
     """Prescribed classical pump amplitude a(t).
 
     Variants: rectangular (a on [0, T]), constant (a for t >= 0, zero
     before: a rectangle whose T the constructor sets to inf), gaussian, and
     sampled (linear interpolation; zero before the first sample, error past
-    the last).  Each variant reads only its own fields.  An immutable
+    the last; times and values kept as tuples of floats, so profiles compare
+    and hash by value).  Each variant reads only its own fields.  An immutable
     NamedTuple whose constructor, ``_replace`` included, checks those fields;
     the classmethods name them.
     """
@@ -57,6 +58,7 @@ class PumpProfile(NamedTuple("PumpProfile", [
                 raise ValidationError("sampled times must be strictly increasing")
             if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
                 raise ValidationError("sampled profile must be finite")
+            times, values = tuple(times.tolist()), tuple(values.tolist())
         elif variant not in ("constant", "rectangular", "gaussian"):
             raise ValidationError(f"unknown profile {variant!r}")
         elif not np.isfinite(a):
@@ -112,7 +114,7 @@ class PumpProfile(NamedTuple("PumpProfile", [
         """Times where the profile or its slope jumps (integration split points);
         a constant pump's end, inf, lies past any grid."""
         if self.variant == "sampled":
-            return tuple(self.times.tolist())
+            return self.times
         return () if self.variant == "gaussian" else (0.0, self.T)
 
 
@@ -136,7 +138,7 @@ def tau_of_t(p, chi, t):
         return 0.0
     a_t = p.amplitude(t)  # raises past the last sample
     k = int(np.searchsorted(p.times, t))  # times[k-1] < t <= times[k]
-    ts, vs = p.times[:k], p.values[:k]
+    ts, vs = np.asarray(p.times[:k]), np.asarray(p.values[:k])
     whole = float(np.dot(np.diff(ts), vs[1:] + vs[:-1]))
     return chi * 0.5 * (whole + (t - ts[-1]) * (vs[-1] + a_t))
 

@@ -3,9 +3,11 @@
 Pair states live in the signal/idler sector and are returned as PureState
 instances with a trivial pump dimension d0 = 1 (pump in vacuum); use
 ``product_state`` to attach a real pump mode, or ``product_sectors`` for the
-same state on the sector layout of ``kernels``.  All parameters are real and
-nonnegative; truncation tails of the named families must stay below 1e-12
-so state-construction error is negligible against every test tolerance.
+same state on the sector layout of ``kernels``; ``initial_state`` builds the
+coherent(alpha) x pair state of every exact run.  All parameters are real and
+nonnegative; a family's smallest cutoff (``PAIR_FAMILIES``) keeps its tail
+below 1e-12, so state-construction error is negligible against every test
+tolerance, and its constructor refuses every smaller cutoff.
 """
 
 import math
@@ -54,15 +56,15 @@ def coherent(alpha, d):
     return CoherentMode(amps, tail, tail > COHERENT_TAIL_WARN)
 
 
+def _check_cutoff(family, param, d, smallest):
+    if d < smallest:
+        raise DimensionTooSmallError(f"{family}({param!r}) needs d >= {smallest} to keep its "
+                                     f"tail below {TAIL_TOL:.0e}, got d={d}")
+
+
 def twb(x, d):
     """Twin-beam (two-mode squeezed vacuum): amplitudes sqrt(1-x^2) x^n on |n,n>."""
-    if not 0 <= x < 1:
-        raise ValidationError(f"twb parameter must satisfy 0 <= x < 1, got {x!r}")
-    tail = x ** (2 * d)  # (1-x^2) * sum_{n>=d} x^{2n}
-    if tail >= TAIL_TOL:
-        raise DimensionTooSmallError(
-            f"twb tail mass {tail:.3e} at d={d} exceeds {TAIL_TOL:.0e}; increase d"
-        )
+    _check_cutoff("twb", x, d, min_dimension_twb(x))
     return pnes(math.sqrt(1.0 - x * x) * x ** np.arange(d), d)
 
 
@@ -81,18 +83,12 @@ def tmc(lam, d):
     """
     if not np.isfinite(lam) or lam < 0:
         raise ValidationError(f"tmc parameter must be finite and >= 0, got {lam!r}")
+    _check_cutoff("tmc", lam, d, min_dimension_tmc(lam))
     if lam == 0.0:
         return pnes([1.0], d)
     n = np.arange(d)
     # lambda^n / n! in log space; stable for lambda^n past overflow
     log_c = n * math.log(lam) - np.array([math.lgamma(k + 1) for k in range(d)])
-    norm = _tmc_norm(lam)
-    kept = float(np.sum(np.exp(2.0 * log_c))) / norm
-    tail = max(0.0, 1.0 - kept)
-    if tail >= TAIL_TOL:
-        raise DimensionTooSmallError(
-            f"tmc tail mass {tail:.3e} at d={d} exceeds {TAIL_TOL:.0e}; increase d"
-        )
     return pnes(np.exp(log_c - np.max(log_c)), d)
 
 
@@ -117,10 +113,12 @@ def pnes(c, d):
 
 
 def min_dimension_twb(x):
-    """Smallest d keeping the twb tail below the constructor tolerance."""
+    """Smallest d keeping the twb tail x^(2d) below the constructor tolerance."""
+    if not 0 <= x < 1:
+        raise ValidationError(f"twb parameter must satisfy 0 <= x < 1, got {x!r}")
     if x == 0:
         return 1
-    return max(1, math.ceil(math.log(TAIL_TOL) / (2 * math.log(x))) + 1)
+    return math.floor(math.log(TAIL_TOL) / (2 * math.log(x))) + 1
 
 
 def min_dimension_tmc(lam):
@@ -129,7 +127,7 @@ def min_dimension_tmc(lam):
         return 1
     norm = _tmc_norm(lam)
     kept = 0.0
-    for n in range(400):
+    for n in range(500):
         kept += math.exp(2 * (n * math.log(lam) - math.lgamma(n + 1)))
         if 1.0 - kept / norm < TAIL_TOL:
             return n + 1
@@ -164,6 +162,8 @@ def product_sectors(pump, pair):
     if isinstance(pump, CoherentMode):
         pump = pump.amplitudes
     pump = np.asarray(pump, dtype=np.complex128).reshape(-1)
+    if not (np.any(pump) and np.all(np.isfinite(pump))):
+        raise ValidationError("pump amplitudes must be finite with a nonzero entry")
     if pair.config.d0 != 1:
         raise ValidationError("pair state must have trivial pump dimension d0 = 1")
     cfg = TruncationConfig(pump.size, pair.config.d1, pair.config.d2)
@@ -171,3 +171,33 @@ def product_sectors(pump, pair):
     psi = pump[:, None, None] * pair_psi
     psi /= np.linalg.norm(psi)
     return kernels.Sectors(psi, kernels.sector_layout(cfg.shape, pair_layout.deltas))
+
+
+# name -> (constructor(param, d), smallest cutoff d of param)
+PAIR_FAMILIES = {
+    "vacuum": (lambda param, d: pnes([1.0], d), lambda param: 1),
+    "twb": (twb, min_dimension_twb),
+    "tmc": (tmc, min_dimension_tmc),
+}
+
+
+def initial_state(family, param, alpha, d0, d):
+    """coherent(alpha) on d0 pump levels times family(param) on d pair levels, as sectors.
+
+    d0 = 0 chooses ``pump_dimension(alpha)``.  A negative d0 or an oversized
+    box is refused before anything is built, and a d0 that cuts off more than
+    COHERENT_TAIL_WARN of the pump raises DimensionTooSmallError.
+    """
+    if d0 < 0:
+        raise ValidationError(f"d0 must be 0 (choose from alpha) or >= 1, got {d0}")
+    d0 = d0 or pump_dimension(alpha)
+    TruncationConfig(d0, d, d)  # refuse an oversized box before building any of it
+    pump = coherent(alpha, d0)
+    if pump.tail_warning:
+        raise DimensionTooSmallError(
+            f"pump tail mass {pump.tail_mass:.3e} at d0={d0}, alpha={alpha!r} "
+            f"exceeds {COHERENT_TAIL_WARN:.0e}; increase d0"
+        )
+    if family not in PAIR_FAMILIES:
+        raise ValidationError(f"family must be vacuum, twb or tmc, got {family!r}")
+    return product_sectors(pump, PAIR_FAMILIES[family][0](param, d))

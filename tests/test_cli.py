@@ -347,6 +347,20 @@ class TestEvolveModel:
         assert "overflows" in record["message"]
         assert not out.exists()
 
+    def test_unresolved_pulse_is_a_step_size_error(self, tmp_path, capsys):
+        # a pulse 1e-3 wide inside one grid interval: the two RK4 passes disagree
+        text = ("profile = gaussian\namplitude = 1\ncenter = 0.5\nwidth = 0.001\nchi = 1\n"
+                "t_start = 0\nt_stop = 1\nn_points = 2\n")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "StepSizeError"
+        assert "step-halving" in record["message"]
+        assert not out.exists()
+
     def test_assume_zero_initial_must_be_boolean(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_MODEL_CFG + "assume_zero_initial = maybe\n")
         assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
@@ -554,7 +568,7 @@ def test_oversized_box_rejected_before_building_the_pump(tmp_path, capsys, monke
     def coherent(alpha, d):
         raise AssertionError(f"built a pump of {d} levels")
 
-    monkeypatch.setattr(pnes.cli, "coherent", coherent)
+    monkeypatch.setattr(pnes.states, "coherent", coherent)
     cfg = write_cfg(tmp_path / "c.cfg", text)
     out = tmp_path / "out.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
@@ -616,7 +630,7 @@ def test_negative_d0_rejected_before_building_a_state(tmp_path, capsys, monkeypa
         raise AssertionError("built or evolved a state")
 
     monkeypatch.setattr(pnes.cli, "evolve", refuse)
-    monkeypatch.setattr(pnes.cli, "coherent", refuse)
+    monkeypatch.setattr(pnes.states, "coherent", refuse)
     cfg = write_cfg(tmp_path / "c.cfg", text + "d0 = -7\n")
     out = tmp_path / "out.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1

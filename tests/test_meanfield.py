@@ -104,6 +104,14 @@ class TestPumpProfile:
         with pytest.raises(ValidationError):
             PumpProfile.sampled([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
 
+    def test_sampled_profiles_compare_and_hash_by_value(self):
+        p = PumpProfile.sampled([0, 1], [0, 1])
+        q = PumpProfile.sampled(np.array([0.0, 1.0]), (0.0, 1.0))
+        assert p == q and hash(p) == hash(q)
+        assert p != PumpProfile.sampled([0, 1], [0, 2])
+        assert p == ("sampled", 0.0, 0.0, 0.0, 0.0, (0.0, 1.0), (0.0, 1.0))
+        assert all(type(v) is float for v in p.times + p.values)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
             PumpProfile.rectangular(1.0, -2.0)

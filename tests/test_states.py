@@ -13,11 +13,13 @@ from pnes.observables import (
 )
 from pnes.states import (
     coherent,
+    initial_state,
     min_dimension_tmc,
     min_dimension_twb,
     pnes,
     product_sectors,
     product_state,
+    pump_dimension,
     tmc,
     twb,
 )
@@ -145,6 +147,10 @@ class TestTmc:
         with pytest.raises(DimensionTooSmallError):
             tmc(2.0, 3)
 
+    def test_parameter_up_to_350_has_a_cutoff(self):
+        assert min_dimension_tmc(350.0) > 400  # the cutoff search runs that far
+        tmc(350.0, min_dimension_tmc(350.0))
+
     def test_parameter_past_norm_range_rejected(self):
         # I0(2 lambda) nears the float range past lambda = 350
         for build in (lambda: tmc(351.0, 10), lambda: min_dimension_tmc(351.0)):
@@ -198,6 +204,13 @@ class TestProductState:
         with pytest.raises(ValidationError):
             product_state(coherent(1.0, 10), s)
 
+    @pytest.mark.parametrize("pump", [np.zeros(3), [1.0, math.nan], [math.inf, 0.0], []],
+                             ids=["zero", "nan", "inf", "empty"])
+    def test_rejects_zero_or_non_finite_pump(self, pump):
+        for build in (product_sectors, product_state):
+            with pytest.raises(ValidationError, match="pump amplitudes"):
+                build(pump, pnes([1.0], 2))
+
 
 class TestProductSectors:
     @pytest.mark.parametrize("pair", [twb(0.3, 15), tmc(0.7, 12), pnes([1.0], 4)],
@@ -236,3 +249,31 @@ class TestMinDimensions:
     def test_tmc_constructible(self):
         for lam in (0.5, 1.0, 2.0):
             tmc(lam, min_dimension_tmc(lam))
+
+    @pytest.mark.parametrize("family, build, smallest, params", [
+        ("twb", twb, min_dimension_twb, (0.2, 0.5, 0.8)),
+        ("tmc", tmc, min_dimension_tmc, (0.5, 1.0, 2.0)),
+    ], ids=["twb", "tmc"])
+    def test_constructor_refuses_exactly_below_the_smallest_cutoff(self, family, build,
+                                                                   smallest, params):
+        for param in params:
+            m = smallest(param)
+            build(param, m)
+            with pytest.raises(DimensionTooSmallError, match=f"needs d >= {m}"):
+                build(param, m - 1)
+
+    def test_twb_cutoff_is_the_smallest(self):
+        assert min_dimension_twb(0.5) == 20
+        assert 0.5 ** 40 < 1e-12 <= 0.5 ** 38
+
+
+class TestInitialState:
+    def test_is_the_product_of_pump_and_pair(self):
+        psi, layout = initial_state("twb", 0.3, 1.5, 0, 12)
+        want, want_layout = product_sectors(coherent(1.5, pump_dimension(1.5)), twb(0.3, 12))
+        assert layout is want_layout
+        np.testing.assert_array_equal(psi, want)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValidationError, match="'squeezed'"):
+            initial_state("squeezed", 0.3, 1.5, 0, 12)
