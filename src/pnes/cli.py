@@ -194,14 +194,9 @@ def _build_exact_state(cfg):
 
 
 def cmd_evolve_exact(cfg):
-    s0 = _build_exact_state(cfg)
-    spec = EvolutionSpec(
-        HamiltonianParams(cfg["chi"]),
-        dt=cfg["dt"],
-        steps=cfg["steps"],
-        record_every=cfg["record_every"],
-    )
-    traj = evolve(s0, spec)
+    spec = EvolutionSpec(HamiltonianParams(cfg["chi"]), dt=cfg["dt"], steps=cfg["steps"],
+                         record_every=cfg["record_every"])
+    traj = evolve(_build_exact_state(cfg), spec)
     columns = [
         "t", "re_pair_amp", "im_pair_amp", "total_n", "diff_n", "pump_quad",
         "disp_plus", "disp_minus", "conserved_k", "norm", "leakage",
@@ -212,7 +207,7 @@ def cmd_evolve_exact(cfg):
             t, o.pair_amp.real, o.pair_amp.imag, o.total_n, o.diff_n, o.pump_quad,
             o.disp_plus, o.disp_minus, o.conserved_k, nrm, leak,
         ])
-    return columns, rows
+    return columns, rows, 0
 
 
 def _build_profile(cfg):
@@ -236,7 +231,7 @@ def cmd_evolve_model(cfg):
         grid, profile.amplitude(grid), cf.tau, cf.Lambda, cf.N, ode.Lambda, ode.N,
         ode.Lambda - cf.Lambda, ode.N - cf.N,
     )).tolist()
-    return columns, rows
+    return columns, rows, 0
 
 
 def _rel_dev(a, b):
@@ -266,10 +261,9 @@ def _step_count(t_stop, dt):
 def cmd_compare(cfg):
     alpha, chi = cfg["alpha"], cfg["chi"]
     steps = _step_count(cfg["t_stop"], cfg["dt"])
-    s0 = _build_exact_state(dict(cfg, family="vacuum", param=0.0))
     spec = EvolutionSpec(HamiltonianParams(chi), dt=cfg["dt"], steps=steps,
                          record_every=cfg["record_every"])
-    traj = evolve(s0, spec)
+    traj = evolve(_build_exact_state(dict(cfg, family="vacuum", param=0.0)), spec)
     profile = PumpProfile.constant(alpha)
     model = integrate_model(profile, chi, traj.times, assume_zero_initial=True)
     columns = ["t", "n_exact", "n_model", "rel_dev_n",
@@ -279,7 +273,7 @@ def cmd_compare(cfg):
         n_e, n_m = o.total_n, model.N[i]
         l_e, l_m = abs(o.pair_amp), model.Lambda[i]
         rows.append([t, n_e, n_m, _rel_dev(n_e, n_m), l_e, l_m, _rel_dev(l_e, l_m)])
-    return columns, rows
+    return columns, rows, 0
 
 
 _REPORT_FIELDS = list(DispersionReport._fields)
@@ -288,7 +282,7 @@ _REPORT_FIELDS = list(DispersionReport._fields)
 def cmd_dispersion(cfg):
     rows = [build_report(cfg["family"], param, cfg["chi"], cfg["alpha"])
             for param in cfg["params"]]
-    return _REPORT_FIELDS, rows
+    return _REPORT_FIELDS, rows, 0
 
 
 def _scan_row(family, param, chi, alpha):
@@ -304,14 +298,19 @@ def _scan_row(family, param, chi, alpha):
 
 
 def cmd_scan(cfg):
-    """Every grid point, in grid order; any_failed when a row's status is not "ok"."""
+    """Every grid point, in grid order; exit code 3 when a row's status is not "ok"."""
     rows = [
         _scan_row(cfg["family"], param, chi, alpha)
         for chi in cfg["chi_values"]
         for alpha in cfg["alpha_values"]
         for param in cfg["params"]
     ]
-    return _REPORT_FIELDS + ["status"], rows, any(row[-1] != "ok" for row in rows)
+    return _REPORT_FIELDS + ["status"], rows, 3 if any(row[-1] != "ok" for row in rows) else 0
+
+
+# command -> runner(cfg) returning (columns, rows, exit code)
+COMMANDS = {"evolve-exact": cmd_evolve_exact, "evolve-model": cmd_evolve_model,
+            "compare": cmd_compare, "dispersion": cmd_dispersion, "scan": cmd_scan}
 
 
 def _error_record(exc):
@@ -339,18 +338,7 @@ def main(argv=None):
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         raw = read_config_file(args.config)
         cfg = validate_config(args.command, raw)
-        exit_code = 0
-        if args.command == "evolve-exact":
-            columns, rows = cmd_evolve_exact(cfg)
-        elif args.command == "evolve-model":
-            columns, rows = cmd_evolve_model(cfg)
-        elif args.command == "compare":
-            columns, rows = cmd_compare(cfg)
-        elif args.command == "dispersion":
-            columns, rows = cmd_dispersion(cfg)
-        else:
-            columns, rows, any_failed = cmd_scan(cfg)
-            exit_code = 3 if any_failed else 0
+        columns, rows, exit_code = COMMANDS[args.command](cfg)
         write_output(args.out, args.format, args.command, raw, columns, rows)
         return exit_code
     except (ValidationError, OSError) as exc:

@@ -25,15 +25,13 @@ oracle the tests check ``exact_rate`` against, and no report uses it.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ValidationError
 from .fock import HamiltonianParams, TruncationConfig
 from .observables import disp_plus_rate, measure
 from .propagator import rate_of
-from .states import PAIR_FAMILIES, initial_state, pump_dimension
+from .states import PAIR_FAMILIES, check_alpha, check_param, initial_state, pump_dimension
 
-FAMILIES = ("twb", "tmc")
+FAMILIES = ("twb", "tmc")  # the families with closed-form rates
 
 
 class DispersionReport(NamedTuple):
@@ -52,14 +50,12 @@ class DispersionReport(NamedTuple):
 
 
 def _check_point(family, param, chi, alpha):
+    """Each input by the check of the module that owns it."""
     if family not in FAMILIES:
         raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
-    if family == "twb" and not 0 <= param < 1:
-        raise ValidationError(f"twb parameter must be in [0, 1), got {param!r}")
-    if family == "tmc" and not (np.isfinite(param) and param >= 0):
-        raise ValidationError(f"tmc parameter must be >= 0, got {param!r}")
-    if chi < 0 or alpha < 0 or not (np.isfinite(chi) and np.isfinite(alpha)):
-        raise ValidationError(f"chi and alpha must be finite and >= 0, got {chi!r}, {alpha!r}")
+    check_param(family, param)
+    HamiltonianParams(chi)
+    check_alpha(alpha)
 
 
 def analytic_rate(family, side, param, chi, alpha):

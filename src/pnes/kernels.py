@@ -153,9 +153,9 @@ def apply_pair_quadrature(psi, out, layout):
 def discard_flux_sq(psi, chi, layout):
     """Squared norm of the component of G psi that falls outside the cutoff box.
 
-    The propagator adds dt^2 * discard_flux_sq(psi) per step to its leakage
-    estimate: what one Euler step of length dt would send out of the box.
-    Zero whenever psi is supported strictly inside the cutoff boundary.
+    The propagator's leakage estimate (see ``propagator.ExactTrajectory``)
+    sums dt^2 * discard_flux_sq(psi) per step.  Zero whenever psi is
+    supported strictly inside the cutoff boundary.
     """
     pump_edge = np.sum(layout.pump_edge_w * np.abs(psi[-1]) ** 2)
     pair_edge = np.sum(layout.pair_edge_w * np.abs(psi[:, layout.top, layout.cols]) ** 2)

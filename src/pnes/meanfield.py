@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExtrapolationError, NumericalError, StepSizeError, ValidationError
+from .fock import HamiltonianParams
 
 _ODE_TOL = 1e-8
 
@@ -126,8 +127,7 @@ def tau_of_t(p, chi, t):
     precision in the left tail; a sampled profile to the exact area under
     its linear interpolant (ExtrapolationError past the last sample).
     """
-    if chi < 0 or not np.isfinite(chi):
-        raise ValidationError(f"chi must be finite and >= 0, got {chi!r}")
+    HamiltonianParams(chi)
     if p.variant == "gaussian":
         z = -(t - p.t_center) / (p.width * math.sqrt(2.0))
         return chi * p.a * p.width * math.sqrt(0.5 * math.pi) * math.erfc(z)
@@ -246,8 +246,8 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
     overflows float64 raises NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2:
-        raise ValidationError("t_grid must be a 1-d array with >= 2 points")
+    if t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid)):
+        raise ValidationError("t_grid must be a finite 1-d array with >= 2 points")
     if not np.all(np.diff(t_grid) > 0):
         raise ValidationError("t_grid must be strictly increasing")
     if not assume_zero_initial and abs(p.amplitude(float(t_grid[0]))) > 1e-14:
@@ -255,8 +255,7 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
             f"profile does not vanish at t0={t_grid[0]} "
             "(pass assume_zero_initial=True to start from (0, 0) anyway)"
         )
-    if chi < 0 or not np.isfinite(chi):
-        raise ValidationError(f"chi must be finite and >= 0, got {chi!r}")
+    HamiltonianParams(chi)
 
     dt_max = float(np.max(np.diff(t_grid)))
     n_sub = max(4, math.ceil(400.0 * chi * p.peak() * dt_max))

@@ -4,10 +4,11 @@ Pair states live in the signal/idler sector and are returned as PureState
 instances with a trivial pump dimension d0 = 1 (pump in vacuum); use
 ``product_state`` to attach a real pump mode, or ``product_sectors`` for the
 same state on the sector layout of ``kernels``; ``initial_state`` builds the
-coherent(alpha) x pair state of every exact run.  All parameters are real and
-nonnegative; a family's smallest cutoff (``PAIR_FAMILIES``) keeps its tail
-below 1e-12, so state-construction error is negligible against every test
-tolerance, and its constructor refuses every smaller cutoff.
+coherent(alpha) x pair state of every exact run.  ``check_alpha`` and
+``check_param`` are the one check of alpha and of a family's parameter.
+``PAIR_FAMILIES`` states each family's domain and its smallest cutoff, which
+keeps the tail below 1e-12, so state-construction error is negligible against
+every test tolerance; the constructor refuses every smaller cutoff.
 """
 
 import math
@@ -35,12 +36,18 @@ class CoherentMode(NamedTuple):
     tail_warning: bool
 
 
+def check_alpha(alpha):
+    """ValidationError unless alpha >= 0 with alpha^2 + 6 alpha + 10 (``pump_dimension``) finite."""
+    a = float(alpha)  # a numpy scalar would warn where the sum overflows
+    if not (a >= 0 and math.isfinite(a * a + 6 * a + 10)):
+        raise ValidationError(f"alpha must be >= 0 with alpha^2 + 6 alpha + 10 finite, got {alpha!r}")
+
+
 def coherent(alpha, d):
     """Coherent state amplitudes ~ alpha^n / sqrt(n!) on n < d, unit norm."""
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
+    check_alpha(alpha)
     if alpha == 0.0:
         amps = np.zeros(d, dtype=np.complex128)
         amps[0] = 1.0
@@ -68,21 +75,12 @@ def twb(x, d):
     return pnes(math.sqrt(1.0 - x * x) * x ** np.arange(d), d)
 
 
-def _tmc_norm(lam):
-    """I0(2 lambda), the tmc norm; ValidationError past 350, where it nears overflow."""
-    if not 0 <= lam <= 350:
-        raise ValidationError(f"tmc parameter must be in [0, 350], got {lam!r}")
-    return float(np.i0(2 * lam))
-
-
 def tmc(lam, d):
     """Two-mode coherently-correlated (degenerate pair-coherent) state.
 
     Amplitudes lambda^n / (n! sqrt(I0(2 lambda))) on |n,n>; eigenstate of
     a1 a2 with eigenvalue lambda.
     """
-    if not np.isfinite(lam) or lam < 0:
-        raise ValidationError(f"tmc parameter must be finite and >= 0, got {lam!r}")
     _check_cutoff("tmc", lam, d, min_dimension_tmc(lam))
     if lam == 0.0:
         return pnes([1.0], d)
@@ -114,8 +112,7 @@ def pnes(c, d):
 
 def min_dimension_twb(x):
     """Smallest d keeping the twb tail x^(2d) below the constructor tolerance."""
-    if not 0 <= x < 1:
-        raise ValidationError(f"twb parameter must satisfy 0 <= x < 1, got {x!r}")
+    check_param("twb", x)
     if x == 0:
         return 1
     return math.floor(math.log(TAIL_TOL) / (2 * math.log(x))) + 1
@@ -123,9 +120,10 @@ def min_dimension_twb(x):
 
 def min_dimension_tmc(lam):
     """Smallest d keeping the tmc tail below the constructor tolerance."""
+    check_param("tmc", lam)
     if lam == 0:
         return 1
-    norm = _tmc_norm(lam)
+    norm = float(np.i0(2 * lam))
     kept = 0.0
     for n in range(500):
         kept += math.exp(2 * (n * math.log(lam) - math.lgamma(n + 1)))
@@ -136,12 +134,8 @@ def min_dimension_tmc(lam):
 
 def pump_dimension(alpha):
     """Default pump cutoff for a coherent amplitude alpha."""
-    d = alpha * alpha + 6 * alpha + 10
-    if not (alpha >= 0 and math.isfinite(d)):
-        raise ValidationError(
-            f"alpha must be >= 0 with alpha^2 + 6 alpha + 10 finite, got {alpha!r}"
-        )
-    return math.ceil(d)
+    check_alpha(alpha)
+    return math.ceil(alpha * alpha + 6 * alpha + 10)
 
 
 def product_state(pump, pair):
@@ -173,12 +167,20 @@ def product_sectors(pump, pair):
     return kernels.Sectors(psi, kernels.sector_layout(cfg.shape, pair_layout.deltas))
 
 
-# name -> (constructor(param, d), smallest cutoff d of param)
+# name -> (constructor(param, d), smallest cutoff d of param, domain of param as
+# (its statement, its test)); I0(2 lam), the tmc norm, nears overflow past 350
 PAIR_FAMILIES = {
-    "vacuum": (lambda param, d: pnes([1.0], d), lambda param: 1),
-    "twb": (twb, min_dimension_twb),
-    "tmc": (tmc, min_dimension_tmc),
+    "vacuum": (lambda param, d: pnes([1.0], d), lambda param: 1, ("any value", lambda p: True)),
+    "twb": (twb, min_dimension_twb, ("0 <= x < 1", lambda x: 0 <= x < 1)),
+    "tmc": (tmc, min_dimension_tmc, ("0 <= lam <= 350", lambda lam: 0 <= lam <= 350)),
 }
+
+
+def check_param(family, param):
+    """ValidationError unless param lies in the family's domain (``PAIR_FAMILIES``)."""
+    statement, holds = PAIR_FAMILIES[family][2]
+    if not holds(param):
+        raise ValidationError(f"{family} parameter must satisfy {statement}, got {param!r}")
 
 
 def initial_state(family, param, alpha, d0, d):
@@ -199,5 +201,5 @@ def initial_state(family, param, alpha, d0, d):
             f"exceeds {COHERENT_TAIL_WARN:.0e}; increase d0"
         )
     if family not in PAIR_FAMILIES:
-        raise ValidationError(f"family must be vacuum, twb or tmc, got {family!r}")
+        raise ValidationError(f"family must be one of {', '.join(PAIR_FAMILIES)}, got {family!r}")
     return product_sectors(pump, PAIR_FAMILIES[family][0](param, d))

@@ -642,6 +642,22 @@ def test_negative_d0_rejected_before_building_a_state(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text", [
+    ("evolve-exact", EVOLVE_EXACT_CFG.replace("chi = 0.05", "chi = -1")),
+    ("compare", COMPARE_CFG.replace("chi = 0.01", "chi = -1")),
+], ids=["evolve-exact", "compare"])
+def test_bad_coupling_rejected_before_building_a_state(tmp_path, capsys, monkeypatch,
+                                                       command, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the initial state")
+
+    monkeypatch.setattr(pnes.cli, "_build_exact_state", refuse)
+    cfg = write_cfg(tmp_path / "c.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "ValidationError", "message": "chi must be finite and >= 0, got -1.0"}
+
+
 class TestExitCodes:
     def test_validation_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "nonsense = 1\n")

@@ -254,6 +254,12 @@ class TestIntegrateModel:
         with pytest.raises(ValidationError):
             integrate_model(p, 0.1, np.array([0.0, -1.0, 1.0]), assume_zero_initial=True)
 
+    @pytest.mark.parametrize("end", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_a_non_finite_grid_point(self, end):
+        # an infinite point used to reach math.ceil(inf) and raise OverflowError
+        with pytest.raises(ValidationError, match="finite"):
+            integrate_model(PumpProfile.rectangular(1.0, 2.0), 0.1, [-1.0, end])
+
 
 @settings(max_examples=40, deadline=None)
 @given(model_cases())

@@ -9,7 +9,7 @@ from pnes.fock import HamiltonianParams, PureState, TruncationConfig, basis_inde
 from pnes.meanfield import closed_form
 from pnes.observables import measure
 from pnes.propagator import EvolutionSpec, evolve, rate_of
-from pnes.states import coherent, pnes, product_sectors, product_state, twb
+from pnes.states import coherent, initial_state, pnes, product_sectors, product_state, twb
 
 from oracle import dense_generator
 
@@ -127,6 +127,14 @@ class TestEvolve:
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.02, steps=10, record_every=4))
         np.testing.assert_allclose(traj.times, [0.0, 0.08, 0.16, 0.2])
 
+    def test_zero_steps_returns_a_copy_of_a_sectors_input(self):
+        s = initial_state("twb", 0.3, 1.0, 0, 12)
+        before = s.psi.copy()
+        final = evolve(s, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, steps=0)).final
+        assert final.psi is not s.psi
+        final.psi[...] = 0.0
+        np.testing.assert_array_equal(s.psi, before)
+
 
 class TestFoldedBlocks:
     """The K-chains folded into max(d0, M) blocks of min(d0, M) cells."""
@@ -202,15 +210,9 @@ class TestRateOf:
         assert abs(rate) < 1e-8
 
     def test_noisy_derivative_raises_with_both_estimates(self):
-        s0 = product_state(coherent(1.0, 15), twb(0.3, 12))
+        s0 = product_state(coherent(1.0, 15), pnes([1.0], 12))
         with pytest.raises(NoisyDerivativeError) as err:
-            # absurdly large step: the h and h/2 estimates cannot agree
-            rate_of(s0, HamiltonianParams(0.5), lambda s: measure(s).disp_plus, h=5.0, tol=1e-12)
+            # C+ grows linearly from 0, so its cube root has no derivative at t = 0:
+            # the h and h/2 estimates cannot agree
+            rate_of(s0, HamiltonianParams(0.5), lambda s: np.cbrt(measure(s).c_plus))
         assert err.value.estimate_h != err.value.estimate_h2
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-4])
-    def test_rejects_a_tolerance_that_is_not_positive_and_finite(self, tol):
-        # a nan tolerance would let every Richardson check pass, the noisy one above included
-        s0 = product_state(coherent(1.0, 15), twb(0.3, 12))
-        with pytest.raises(ValidationError, match="tol"):
-            rate_of(s0, HamiltonianParams(0.5), lambda s: measure(s).disp_plus, h=5.0, tol=tol)
