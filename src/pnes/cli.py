@@ -142,16 +142,12 @@ def validate_config(command, raw):
     return cfg
 
 
-def _fmt(value):
-    if type(value) is float:  # the common case first: every evolve-model cell
+def _fmt(value):  # every command's cells are floats, bools and strs
+    if type(value) is float:  # the common case first
         return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    return value
 
 
 def write_output(out, fmt, command, raw_config, columns, rows):
@@ -169,7 +165,9 @@ def write_output(out, fmt, command, raw_config, columns, rows):
             "command": command,
             "config": {k: raw_config[k] for k in sorted(raw_config)},
             "columns": list(columns),
-            "rows": [[v if isinstance(v, str) else _json_num(v) for v in row] for row in rows],
+            # JSON holds no inf or nan: a non-finite float is written as null
+            "rows": [[None if type(v) is float and not math.isfinite(v) else v for v in row]
+                     for row in rows],
         }
         import json  # imported here so that a CSV run never loads it
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -178,14 +176,6 @@ def write_output(out, fmt, command, raw_config, columns, rows):
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _json_num(v):
-    """v as a JSON number; None (null) for a non-finite float, which JSON cannot hold."""
-    if isinstance(v, (bool, int, np.integer)):
-        return int(v) if not isinstance(v, bool) else v
-    v = float(v)
-    return v if math.isfinite(v) else None
 
 
 def _build_exact_state(cfg):
@@ -201,12 +191,9 @@ def cmd_evolve_exact(cfg):
         "t", "re_pair_amp", "im_pair_amp", "total_n", "diff_n", "pump_quad",
         "disp_plus", "disp_minus", "conserved_k", "norm", "leakage",
     ]
-    rows = []
-    for t, o, nrm, leak in zip(traj.times, traj.observables, traj.norms, traj.leakages):
-        rows.append([
-            t, o.pair_amp.real, o.pair_amp.imag, o.total_n, o.diff_n, o.pump_quad,
-            o.disp_plus, o.disp_minus, o.conserved_k, nrm, leak,
-        ])
+    obs = [[o.pair_amp.real, o.pair_amp.imag, o.total_n, o.diff_n, o.pump_quad,
+            o.disp_plus, o.disp_minus, o.conserved_k] for o in traj.observables]
+    rows = np.column_stack((traj.times, obs, traj.norms, traj.leakages)).tolist()
     return columns, rows, 0
 
 
@@ -235,9 +222,10 @@ def cmd_evolve_model(cfg):
 
 
 def _rel_dev(a, b):
-    if abs(b) < 1e-300:
-        return 0.0 if abs(a) < 1e-300 else math.inf
-    return abs(a - b) / abs(b)
+    """|a - b| / |b| per entry; where |b| < 1e-300, 0 if |a| is too, else inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.abs(a - b) / np.abs(b)
+    return np.where(np.abs(b) < 1e-300, np.where(np.abs(a) < 1e-300, 0.0, math.inf), dev)
 
 
 def _step_count(t_stop, dt):
@@ -268,11 +256,10 @@ def cmd_compare(cfg):
     model = integrate_model(profile, chi, traj.times, assume_zero_initial=True)
     columns = ["t", "n_exact", "n_model", "rel_dev_n",
                "abs_pair_amp_exact", "lambda_model", "rel_dev_lambda"]
-    rows = []
-    for i, (t, o) in enumerate(zip(traj.times, traj.observables)):
-        n_e, n_m = o.total_n, model.N[i]
-        l_e, l_m = abs(o.pair_amp), model.Lambda[i]
-        rows.append([t, n_e, n_m, _rel_dev(n_e, n_m), l_e, l_m, _rel_dev(l_e, l_m)])
+    n_e = np.array([o.total_n for o in traj.observables])
+    l_e = np.array([abs(o.pair_amp) for o in traj.observables])
+    rows = np.column_stack((traj.times, n_e, model.N, _rel_dev(n_e, model.N),
+                            l_e, model.Lambda, _rel_dev(l_e, model.Lambda))).tolist()
     return columns, rows, 0
 
 

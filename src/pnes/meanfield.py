@@ -30,6 +30,7 @@ from .errors import ExtrapolationError, NumericalError, StepSizeError, Validatio
 from .fock import HamiltonianParams
 
 _ODE_TOL = 1e-8
+_MAX_SUBSTEPS = 100_000  # per piece in the coarse pass; a grid that needs more is refused
 
 
 class PumpProfile(NamedTuple("PumpProfile", [
@@ -144,11 +145,12 @@ def tau_of_t(p, chi, t):
 
 
 def closed_form(tau):
-    """(Lambda, N) = (sinh tau cosh tau, 2 sinh^2 tau)."""
-    if not np.isfinite(tau):
+    """(Lambda, N) = (sinh tau cosh tau, 2 sinh^2 tau) at a tau or an array of them."""
+    x = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise ValidationError(f"tau must be finite, got {tau!r}")
-    sh = math.sinh(tau)
-    return sh * math.cosh(tau), 2.0 * sh * sh
+    sh = np.sinh(x)
+    return sh * np.cosh(x), 2.0 * (sh * sh)
 
 
 def twb_x_from_tau(tau):
@@ -169,9 +171,7 @@ class ModelTrajectory(NamedTuple):
 def closed_form_trajectory(p, chi, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     tau = np.array([tau_of_t(p, chi, t) for t in t_grid])
-    lam = np.sinh(tau) * np.cosh(tau)
-    n = 2.0 * np.sinh(tau) ** 2
-    return ModelTrajectory(t_grid, tau, lam, n)
+    return ModelTrajectory(t_grid, tau, *closed_form(tau))
 
 
 def _rk4_pass(p, chi, t_grid, n_sub):
@@ -181,8 +181,9 @@ def _rk4_pass(p, chi, t_grid, n_sub):
     Each substep column evaluates the pump once per stage for all pieces and
     multiplies the step matrices into each piece's product; a log-depth
     prefix product over the pieces then gives the state at every edge.  The
-    stage times are those of scalar RK4: the substep time advances by h and
-    the last substep ends exactly at the piece's right end.
+    stage times are those of scalar RK4, each moved one ulp toward its piece's
+    midpoint: the substep time advances by h and the last substep ends exactly
+    at the piece's right end.
     """
     breaks = np.asarray(p.breakpoints(), dtype=float)
     k = np.searchsorted(t_grid, breaks)
@@ -191,21 +192,14 @@ def _rk4_pass(p, chi, t_grid, n_sub):
     edges = np.sort(np.concatenate((t_grid, breaks[inside])))
     lo, hi = edges[:-1], edges[1:]
     h = (hi - lo) / n_sub
-    piecewise_const = p.variant in ("constant", "rectangular")
-    if piecewise_const:
-        a_mid = p.amplitude(0.5 * (lo + hi))  # holds on the whole piece
-    # a piece ending by the first sample sees the zero before it, not the jump there
-    h_a = np.where(hi > p.times[0], h, 0.0) if p.variant == "sampled" else h
+    mid = 0.5 * (lo + hi)
     A = np.array([[0.0, chi, chi], [4.0 * chi, 0.0, 0.0], [0.0, 0.0, 0.0]])
     powers = np.stack([np.linalg.matrix_power(A, j) for j in range(5)]).reshape(5, 9)
     prod = np.eye(3)
     t = lo
     for i in range(n_sub):
         t_end = hi if i == n_sub - 1 else t + h
-        if piecewise_const:
-            s1 = s2 = s4 = h * a_mid
-        else:
-            s1, s2, s4 = (h_a * p.amplitude(s) for s in (t, t + 0.5 * h, t_end))
+        s1, s2, s4 = (h * p.amplitude(np.nextafter(s, mid)) for s in (t, t + 0.5 * h, t_end))
         coef = np.stack((np.ones_like(h), (s1 + 4.0 * s2 + s4) / 6.0, s2 * (s1 + s2 + s4) / 6.0,
                          s2 * s2 * (s1 + s4) / 12.0, s1 * s2 * s2 * s4 / 24.0), axis=-1)
         prod = (coef @ powers).reshape(-1, 3, 3) @ prod
@@ -236,14 +230,18 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
     hyperbolic closed form.  For a >= 0 every entry of R is nonnegative, and
     N keeps its relative precision in the pump's tail.
 
-    Pieces between the grid points and the profile's breakpoints take
-    n_sub substeps each; constant and rectangular pieces use the profile's
-    value at the piece's midpoint, and sampled pieces that end by the first
-    sample use 0, the value before it.  The first grid point must precede the
-    pump (a(t0) < 1e-14) unless assume_zero_initial declares the vacuum
-    start explicitly.  Accuracy is verified by step halving: a disagreement
-    above 1e-8 * max(1, |value|) raises StepSizeError, and a state that
-    overflows float64 raises NumericalError.
+    The pump is read only through its ``amplitude``, ``breakpoints`` and
+    ``peak``.  Pieces between the grid points and the breakpoints take
+    n_sub = max(4, ceil(400 chi peak dt_max)) substeps each.  Every stage
+    reads the pump one ulp toward its piece's midpoint, so a stage at a
+    piece's end sees that piece's side of a jump: every jump is a
+    breakpoint, so a piece end.  A grid whose longest interval needs more than
+    100 000 substeps raises ValidationError before any is taken.  The first
+    grid point must precede the pump (a(t0) < 1e-14) unless
+    assume_zero_initial declares the vacuum start explicitly.  Accuracy is
+    verified by step halving: a disagreement above 1e-8 * max(1, |value|)
+    raises StepSizeError, and a state that overflows float64 raises
+    NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid)):
@@ -257,8 +255,13 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
         )
     HamiltonianParams(chi)
 
-    dt_max = float(np.max(np.diff(t_grid)))
-    n_sub = max(4, math.ceil(400.0 * chi * p.peak() * dt_max))
+    i = int(np.argmax(np.diff(t_grid)))
+    t0, t1, peak = float(t_grid[i]), float(t_grid[i + 1]), p.peak()
+    work = 400.0 * chi * peak * (t1 - t0)
+    if not work <= _MAX_SUBSTEPS:
+        raise ValidationError(f"the grid interval [{t0!r}, {t1!r}] needs {work:.3g} RK4 substeps "
+                              f"at pump peak {peak!r}, more than {_MAX_SUBSTEPS}: add grid points")
+    n_sub = max(4, math.ceil(work))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
         l1, n1 = _rk4_pass(p, chi, t_grid, n_sub)
         l2, n2 = _rk4_pass(p, chi, t_grid, 2 * n_sub)

@@ -21,6 +21,7 @@ leakage estimate belongs to the trajectory, not to the state; what it is and
 is not is stated on ``ExactTrajectory``.
 """
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,14 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
             raise ValidationError(f"steps must be >= 0, got {steps}")
         if record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {record_every}")
+        # each step adds dt^2 (chi^2 edge_sum) to the leakage (float products: inf or
+        # nan on overflow); for a unit-norm state edge_sum <= 2 MAX_TOTAL_DIM, two edges
+        # whose weights, d0 n1 n2 and n0 (n1 + 1)(n2 + 1), are at most the box size d0 d^2
+        chi, h = float(params.chi), float(dt)
+        leak_step = h * h * (chi * chi * 2.0 * MAX_TOTAL_DIM)
+        if not (np.isfinite(leak_step) and steps <= sys.float_info.max / max(abs(h), leak_step)):
+            raise ValidationError(f"dt={dt!r}, steps={steps} and chi={chi!r} overflow the "
+                                  "recorded times or the leakage estimate")
         return super().__new__(cls, params, dt, steps, record_every)
 
 

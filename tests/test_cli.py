@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pnes
-from pnes.cli import _build_profile, main, read_config_file, validate_config
+from pnes.cli import _build_profile, _parse_bool, main, read_config_file, validate_config
 from pnes.errors import ValidationError
 from pnes.meanfield import tau_of_t
 
@@ -99,6 +99,17 @@ class TestConfigParsing:
         assert "chi" in msg
         assert "params" in msg  # missing
         assert "alpha" in msg  # missing
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path / "a.cfg", "x = 1\njust words\n")
+        with pytest.raises(ValidationError, match="line 2: expected 'key = value'"):
+            read_config_file(cfg)
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("Yes", True), ("1", True), ("false", False), ("No", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, text, value):
+        assert _parse_bool(text) is value
 
     def test_unknown_key_is_error(self):
         raw = {"family": "tmc", "params": "1", "chi": "0.1", "alpha": "1", "zz": "9"}
@@ -403,6 +414,13 @@ class TestCompare:
         assert json.loads(line)["error"] == "ValidationError"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("t_stop, dt", [("inf", "0.01"), ("1e300", "1e-300")],
+                             ids=["infinite-span", "overflowing-ratio"])
+    def test_non_finite_step_count_rejected(self, tmp_path, capsys, t_stop, dt):
+        text = COMPARE_CFG.replace("t_stop = 0.5", f"t_stop = {t_stop}")
+        record = refused(tmp_path, capsys, "compare", text.replace("dt = 0.01", f"dt = {dt}"))
+        assert "t_stop / dt must be finite" in record["message"]
+
     def test_pump_cutoff_rejected(self, tmp_path, capsys):
         text = COMPARE_CFG.replace("alpha = 5", "alpha = 4\nd0 = 3")
         cfg = write_cfg(tmp_path / "c.cfg", text)
@@ -656,6 +674,52 @@ def test_bad_coupling_rejected_before_building_a_state(tmp_path, capsys, monkeyp
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "ValidationError", "message": "chi must be finite and >= 0, got -1.0"}
+
+
+def refused(tmp_path, capsys, command, text):
+    """The one JSON record of a run that must exit 1 and write no file."""
+    cfg, out = write_cfg(tmp_path / "c.cfg", text), tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert not out.exists()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve-model", "profile = rectangular\namplitude = 1\nduration = 2\nchi = 1\n"
+                     "t_start = -1\nt_stop = 1e12\nn_points = 3\n"),
+    ("compare", "alpha = 2\nchi = 0.05\nt_stop = 1e12\ndt = 1e11\npair_dim = 12\n"),
+], ids=["evolve-model", "compare"])
+def test_coarse_model_grid_refused_before_integrating(tmp_path, capsys, monkeypatch,
+                                                      command, text):
+    # 400 chi peak dt substeps per piece: 2e14 and 4e12 here, which never returned
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model was integrated")
+
+    monkeypatch.setattr(pnes.meanfield, "_rk4_pass", refuse)
+    record = refused(tmp_path, capsys, command, text)
+    assert record["error"] == "ValidationError"
+    assert "RK4 substeps" in record["message"] and "add grid points" in record["message"]
+
+
+@pytest.mark.parametrize("command, values", [
+    ("evolve-exact", "chi = 0.1\ndt = 1e308\nsteps = 3\n"),
+    ("evolve-exact", "chi = 0.1\ndt = 1e200\nsteps = 1\n"),
+    ("evolve-exact", "chi = 1e160\ndt = 0.1\nsteps = 1\n"),
+    ("evolve-exact", "chi = 1e155\ndt = 1e-10\nsteps = 1\n"),
+    ("compare", "chi = 1e155\ndt = 1e-10\nt_stop = 1e-10\n"),
+], ids=["time-1e308", "leakage-dt-1e200", "leakage-chi-1e160", "leakage-chi-1e155",
+        "compare-chi-1e155"])
+def test_overflowing_times_or_leakage_refused_before_building_a_state(tmp_path, capsys,
+                                                                      monkeypatch, command,
+                                                                      values):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the initial state")
+
+    monkeypatch.setattr(pnes.cli, "_build_exact_state", refuse)
+    record = refused(tmp_path, capsys, command, "alpha = 1\npair_dim = 4\n" + values)
+    assert record["error"] == "ValidationError"
+    assert "overflow the recorded times or the leakage estimate" in record["message"]
 
 
 class TestExitCodes:

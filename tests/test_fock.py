@@ -41,6 +41,12 @@ class TestHamiltonianParams:
             HamiltonianParams(float("nan"))
 
 
+class TestPureState:
+    def test_rejects_an_amplitude_count_off_the_config(self):
+        with pytest.raises(ValidationError, match="length 7 != config dimension 8"):
+            PureState(TruncationConfig(2, 2, 2), np.ones(7))
+
+
 class TestBasisIndex:
     def test_origin(self):
         assert basis_index(0, 0, 0, TruncationConfig(5, 5, 5)) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import rk4_model
+from pnes import meanfield
 from pnes.errors import ExtrapolationError, ValidationError
 from pnes.meanfield import (
     PumpProfile,
@@ -126,7 +127,9 @@ class TestPumpProfile:
         (("rectangular",), {"a": 1.0, "T": -1.0}, "duration must be > 0"),
         (("gaussian",), {"a": 1.0, "t_center": math.inf, "width": 1.0}, "center must be finite"),
         (("sampled",), {}, "needs matching 1-d times/values"),
-    ], ids=["unknown", "nan-amplitude", "negative-duration", "infinite-center", "no-samples"])
+        (("sampled",), {"times": [0.0, 1.0], "values": [0.0, math.nan]}, "must be finite"),
+    ], ids=["unknown", "nan-amplitude", "negative-duration", "infinite-center", "no-samples",
+            "nan-sample"])
     def test_constructor_checks(self, args, kwargs, match):
         with pytest.raises(ValidationError, match=match):
             PumpProfile(*args, **kwargs)
@@ -204,6 +207,17 @@ class TestClosedForm:
             lam, n = closed_form(tau)
             assert n == pytest.approx(math.sqrt(1 + 4 * lam * lam) - 1, abs=1e-10)
 
+    def test_array_matches_scalar_calls(self):
+        tau = np.linspace(-2.0, 2.0, 9)
+        lam, n = closed_form(tau)
+        assert [lam.tolist(), n.tolist()] == [list(v) for v in zip(*map(closed_form, tau))]
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, [0.5, -math.inf]],
+                             ids=["nan", "inf", "array"])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValidationError, match="tau must be finite"):
+            closed_form(tau)
+
 
 class TestIntegrateModel:
     def test_zero_coupling(self):
@@ -259,6 +273,35 @@ class TestIntegrateModel:
         # an infinite point used to reach math.ceil(inf) and raise OverflowError
         with pytest.raises(ValidationError, match="finite"):
             integrate_model(PumpProfile.rectangular(1.0, 2.0), 0.1, [-1.0, end])
+
+    def test_refuses_a_grid_needing_too_many_substeps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model was integrated")
+
+        monkeypatch.setattr(meanfield, "_rk4_pass", refuse)
+        with pytest.raises(ValidationError, match=r"\[-1.0, 1000.0\] needs 4e\+05 .* peak 1.0"):
+            integrate_model(PumpProfile.rectangular(1.0, 2.0), 1.0, [-1.0, 1000.0])
+
+
+class _PumpInterface:
+    """A pump offering only what the model integrator may read of it."""
+
+    def __init__(self, p):
+        self.amplitude, self.breakpoints, self.peak = p.amplitude, p.breakpoints, p.peak
+
+
+@pytest.mark.parametrize("p", [
+    PumpProfile.constant(0.7),
+    PumpProfile.rectangular(1.3, 1.0),  # switches on inside the grid interval [-0.25, 0.125]
+    PumpProfile.gaussian(1.0, 1.0, 0.3),
+    PumpProfile.sampled([0.25, 0.5, 2.0], [1.0, 0.0, 0.4]),  # jumps from 0 to 1 at 0.25
+], ids=lambda p: p.variant)
+def test_integrator_reads_the_pump_only_through_its_interface(p):
+    grid = np.linspace(-0.25, 2.0, 7)
+    want = integrate_model(p, 0.4, grid, assume_zero_initial=True)
+    got = integrate_model(_PumpInterface(p), 0.4, grid, assume_zero_initial=True)
+    for g, w in ((got.Lambda, want.Lambda), (got.N, want.N)):
+        assert g.tobytes() == w.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnes import kernels
 from pnes.errors import NoisyDerivativeError, ValidationError
@@ -34,6 +37,26 @@ class TestEvolutionSpec:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValidationError):
             EvolutionSpec(HamiltonianParams(1.0), dt=0.1, steps=-1)
+
+
+@functools.cache
+def _small_box():
+    return initial_state("vacuum", 0.0, 1.0, 0, 4)
+
+
+log_uniform = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_uniform, log_uniform, st.sampled_from([1.0, -1.0]), st.integers(0, 5))
+def test_spec_refuses_or_every_record_is_finite(chi, dt, sign, steps):
+    try:
+        spec = EvolutionSpec(HamiltonianParams(chi), dt=sign * dt, steps=steps)
+    except ValidationError:
+        return
+    traj = evolve(_small_box(), spec)
+    for column in (traj.times, traj.norms, traj.leakages):
+        assert np.all(np.isfinite(column))
 
 
 class TestEvolve:
@@ -103,6 +126,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("field, value", [
         ("steps", 2.5), ("steps", True), ("record_every", 2.0), ("record_every", True),
+        ("record_every", 0),
     ])
     def test_non_integer_counts_rejected_before_diagonalizing(self, monkeypatch, field, value):
         def no_eigh(*args, **kwargs):

@@ -60,6 +60,11 @@ class TestCoherent:
         assert coherent(3.0, 5).tail_warning
         assert not coherent(3.0, 40).tail_warning
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_rejects_an_empty_mode(self, d):
+        with pytest.raises(ValidationError, match="dimension must be >= 1"):
+            coherent(1.0, d)
+
 
 class TestBesselI0:
     def test_zero(self):
@@ -177,6 +182,15 @@ class TestPnes:
     def test_rejects_all_zero(self):
         with pytest.raises(ValidationError):
             pnes([0.0, 0.0], 4)
+
+    @pytest.mark.parametrize("c, d, match", [
+        ([1.0, math.nan], 4, "must be finite"),
+        ([math.inf, 1.0], 4, "must be finite"),
+        ([1.0, 0.5, 0.25], 2, "dimension 2 smaller than coefficient count 3"),
+    ], ids=["nan", "inf", "short-box"])
+    def test_rejects_bad_coefficients_or_box(self, c, d, match):
+        with pytest.raises(ValidationError, match=match):
+            pnes(c, d)
 
     def test_diagonal_support(self):
         s = pnes([1.0, 2.0, 0.5], 6)
