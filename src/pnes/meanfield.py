@@ -11,9 +11,11 @@ integral characteristic tau(t) = chi * integral of a up to t:
 
     Lambda = sinh(tau) cosh(tau),    N = 2 sinh^2(tau)
 
-The model has the first integral (N+1)^2 - 4 Lambda^2 = 1 and is realized
-exactly by the twin-beam family via x = tanh(tau).  Pump depletion is out
-of scope: no back-reaction on a(t), the model's one input, is modeled.
+So the model reads the pump only through tau (``tau_of_t``, on a whole time
+grid at once) and starts from vacuum where tau = 0, before any pump area.  It
+has the first integral (N+1)^2 - 4 Lambda^2 = 1 and is realized exactly by
+the twin-beam family via x = tanh(tau).  Pump depletion is out of scope: no
+back-reaction on a(t), the model's one input, is modeled.
 
 The ODE is also integrated by RK4 (``integrate_model``), as an independent
 check of the closed form.  The system is linear in (Lambda, N, 1), so each
@@ -121,36 +123,46 @@ class PumpProfile(NamedTuple("PumpProfile", [
 
 
 def tau_of_t(p, chi, t):
-    """tau(t) = chi * integral of a(t') from -infinity to t, in closed form.
+    """tau(t) = chi * integral of a(t') from -infinity to t, in closed form, at a
+    time or an array of times; a float for a scalar time; inf or nan, with no
+    warning, where it overflows float64.
 
     Rectangular profiles (constant: T = inf) integrate to ramps; the gaussian to
     chi a w sqrt(pi/2) erfc(-(t - c) / (w sqrt 2)), which keeps its relative
-    precision in the left tail; a sampled profile to the exact area under
-    its linear interpolant (ExtrapolationError past the last sample).
+    precision in the left tail; a sampled profile to the exact area under its
+    linear interpolant, one cumulative sum of its trapezoids plus the partial
+    segment up to each t (ExtrapolationError past the last sample).
     """
     HamiltonianParams(chi)
-    if p.variant == "gaussian":
-        z = -(t - p.t_center) / (p.width * math.sqrt(2.0))
-        return chi * p.a * p.width * math.sqrt(0.5 * math.pi) * math.erfc(z)
-    if p.variant != "sampled":  # a rectangle, T = inf for a constant pump
-        return chi * p.a * min(max(t, 0.0), p.T)
-    # sampled: whole trapezoids before t plus the partial segment up to t
-    if t <= p.times[0]:
-        return 0.0
-    a_t = p.amplitude(t)  # raises past the last sample
-    k = int(np.searchsorted(p.times, t))  # times[k-1] < t <= times[k]
-    ts, vs = np.asarray(p.times[:k]), np.asarray(p.values[:k])
-    whole = float(np.dot(np.diff(ts), vs[1:] + vs[:-1]))
-    return chi * 0.5 * (whole + (t - ts[-1]) * (vs[-1] + a_t))
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.variant == "gaussian":  # numpy has no erfc: math.erfc point by point
+            z = -(t - p.t_center) / (p.width * math.sqrt(2.0))
+            erfc = np.array([math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
+            tau = chi * p.a * p.width * math.sqrt(0.5 * math.pi) * erfc
+        elif p.variant != "sampled":  # a rectangle, T = inf for a constant pump
+            tau = chi * p.a * np.clip(t, 0.0, p.T)
+        else:  # whole trapezoids before t plus the partial segment up to t
+            ts, vs = np.asarray(p.times), np.asarray(p.values)
+            whole = np.concatenate(([0.0], np.cumsum(np.diff(ts) * (vs[1:] + vs[:-1]))))
+            k = np.maximum(np.searchsorted(ts, t), 1) - 1  # ts[k] < t <= ts[k + 1]
+            segment = (t - ts[k]) * (vs[k] + p.amplitude(t))  # amplitude raises past the end
+            tau = np.where(t > ts[0], chi * 0.5 * (whole[k] + segment), 0.0)
+    return float(tau) if tau.ndim == 0 else tau
 
 
 def closed_form(tau):
-    """(Lambda, N) = (sinh tau cosh tau, 2 sinh^2 tau) at a tau or an array of them."""
+    """(Lambda, N) = (sinh tau cosh tau, 2 sinh^2 tau) at a tau or an array of them;
+    ValidationError for a non-finite tau, NumericalError if N overflows (|tau| > ~355)."""
     x = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValidationError(f"tau must be finite, got {tau!r}")
-    sh = np.sinh(x)
-    return sh * np.cosh(x), 2.0 * (sh * sh)
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        sh = np.sinh(x)
+        lam, n = sh * np.cosh(x), 2.0 * (sh * sh)
+    if not np.all(np.isfinite(n)):  # N = 2 sh^2 overflows before Lambda = sh ch
+        raise NumericalError(f"the closed form overflows float64 at |tau| = {float(np.max(np.abs(x)))!r}")
+    return lam, n
 
 
 def twb_x_from_tau(tau):
@@ -169,9 +181,8 @@ class ModelTrajectory(NamedTuple):
 
 
 def closed_form_trajectory(p, chi, t_grid):
-    t_grid = np.asarray(t_grid, dtype=float)
-    tau = np.array([tau_of_t(p, chi, t) for t in t_grid])
-    return ModelTrajectory(t_grid, tau, *closed_form(tau))
+    tau = tau_of_t(p, chi, t_grid)
+    return ModelTrajectory(np.asarray(t_grid, dtype=float), tau, *closed_form(tau))
 
 
 def _rk4_pass(p, chi, t_grid, n_sub):
@@ -234,25 +245,19 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
     ``peak``.  Pieces between the grid points and the breakpoints take
     n_sub = max(4, ceil(400 chi peak dt_max)) substeps each.  Every stage
     reads the pump one ulp toward its piece's midpoint, so a stage at a
-    piece's end sees that piece's side of a jump: every jump is a
-    breakpoint, so a piece end.  A grid whose longest interval needs more than
-    100 000 substeps raises ValidationError before any is taken.  The first
-    grid point must precede the pump (a(t0) < 1e-14) unless
-    assume_zero_initial declares the vacuum start explicitly.  Accuracy is
-    verified by step halving: a disagreement above 1e-8 * max(1, |value|)
-    raises StepSizeError, and a state that overflows float64 raises
-    NumericalError.
+    piece's end sees that piece's side of a jump: every jump is a breakpoint,
+    so a piece end.  A grid whose longest interval needs more than 100 000
+    substeps raises ValidationError before any is taken, and so does one that
+    starts inside or after a pulse (|tau(t0)| > 1e-14), since the start is
+    the vacuum (assume_zero_initial=True skips that check).  Step halving
+    checks accuracy (StepSizeError above 1e-8 * max(1, |value|)), and a state
+    that overflows float64 raises NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid)):
         raise ValidationError("t_grid must be a finite 1-d array with >= 2 points")
     if not np.all(np.diff(t_grid) > 0):
         raise ValidationError("t_grid must be strictly increasing")
-    if not assume_zero_initial and abs(p.amplitude(float(t_grid[0]))) > 1e-14:
-        raise ValidationError(
-            f"profile does not vanish at t0={t_grid[0]} "
-            "(pass assume_zero_initial=True to start from (0, 0) anyway)"
-        )
     HamiltonianParams(chi)
 
     i = int(np.argmax(np.diff(t_grid)))
@@ -261,6 +266,10 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
     if not work <= _MAX_SUBSTEPS:
         raise ValidationError(f"the grid interval [{t0!r}, {t1!r}] needs {work:.3g} RK4 substeps "
                               f"at pump peak {peak!r}, more than {_MAX_SUBSTEPS}: add grid points")
+    tau0 = 0.0 if assume_zero_initial else tau_of_t(p, chi, float(t_grid[0]))
+    if not abs(tau0) <= 1e-14:
+        raise ValidationError(f"the pump area tau = {tau0!r} does not vanish at t0={float(t_grid[0])!r}: "
+                              "the model starts from vacuum, so the grid must start before the pump")
     n_sub = max(4, math.ceil(work))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
         l1, n1 = _rk4_pass(p, chi, t_grid, n_sub)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pnes
-from pnes.cli import _build_profile, _parse_bool, main, read_config_file, validate_config
+from pnes.cli import _build_profile, main, read_config_file, validate_config
 from pnes.errors import ValidationError
 from pnes.meanfield import tau_of_t
 
@@ -104,12 +104,6 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path / "a.cfg", "x = 1\njust words\n")
         with pytest.raises(ValidationError, match="line 2: expected 'key = value'"):
             read_config_file(cfg)
-
-    @pytest.mark.parametrize("text, value", [
-        ("true", True), ("Yes", True), ("1", True), ("false", False), ("No", False), ("0", False),
-    ])
-    def test_boolean_spellings(self, text, value):
-        assert _parse_bool(text) is value
 
     def test_unknown_key_is_error(self):
         raw = {"family": "tmc", "params": "1", "chi": "0.1", "alpha": "1", "zz": "9"}
@@ -261,7 +255,7 @@ class TestEvolveModel:
     @pytest.mark.parametrize("text", [
         "profile = gaussian\namplitude = 1\ncenter = 2\nwidth = 0.7\n",
         "profile = sampled\nprofile_times = 0, 1, 3\nprofile_values = 0, 1.5, 0.5\n",
-        "profile = constant\namplitude = 0.8\nassume_zero_initial = yes\n",
+        "profile = constant\namplitude = 0.8\n",  # from t_start = 0, where tau = 0: no key
     ], ids=["gaussian", "sampled", "constant"])
     def test_tau_column_matches_tau_of_t(self, tmp_path, text):
         text += "chi = 0.2\nt_start = 0\nt_stop = 2.5\nn_points = 11\n"
@@ -314,7 +308,7 @@ class TestEvolveModel:
     def test_long_constant_pump_passes_relative_step_check(self, tmp_path):
         # N reaches about 670, where the absolute step-halving estimate is 2e-8
         text = ("profile = constant\namplitude = 1\nchi = 0.6\nt_start = 0\nt_stop = 6\n"
-                "n_points = 50\nassume_zero_initial = yes\n")
+                "n_points = 50\n")
         cfg = write_cfg(tmp_path / "c.cfg", text)
         out = tmp_path / "out.csv"
         assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 0
@@ -343,11 +337,19 @@ class TestEvolveModel:
         assert f"{key}={value}" in record["message"]
         assert not out.exists()
 
+    def test_overflowing_span_rejected_before_building_the_grid(self, tmp_path, capsys):
+        # both ends are finite, but t_stop - t_start is not: np.linspace would warn
+        text = EVOLVE_MODEL_CFG.replace("t_start = -0.5", "t_start = -1e308").replace(
+            "t_stop = 3", "t_stop = 1e308")
+        record = refused(tmp_path, capsys, "evolve-model", text)
+        assert record["error"] == "ValidationError"
+        assert "finite span" in record["message"] and "t_start=-1e+308" in record["message"]
+
     def test_overflowing_model_is_a_numerical_error(self, tmp_path, capsys):
         # tau reaches 1000, and N ~ exp(2 tau) / 2 overflows float64 past tau ~ 355;
         # pytest turns the RuntimeWarning of an unguarded overflow into an error
         text = ("profile = constant\namplitude = 1\nchi = 1\nt_start = 0\nt_stop = 1000\n"
-                "n_points = 11\nassume_zero_initial = yes\n")
+                "n_points = 11\n")
         cfg = write_cfg(tmp_path / "c.cfg", text)
         out = tmp_path / "o.csv"
         assert main(["evolve-model", "--config", cfg, "--out", str(out)]) == 2
@@ -372,12 +374,25 @@ class TestEvolveModel:
         assert "step-halving" in record["message"]
         assert not out.exists()
 
-    def test_assume_zero_initial_must_be_boolean(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_MODEL_CFG + "assume_zero_initial = maybe\n")
-        assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
-        record = json.loads(capsys.readouterr().err)
+    def test_assume_zero_initial_is_an_unknown_key(self, tmp_path, capsys):
+        # the vacuum start follows from tau(t_start) = 0, so no key overrides it
+        record = refused(tmp_path, capsys, "evolve-model",
+                         EVOLVE_MODEL_CFG + "assume_zero_initial = yes\n")
+        assert record == {"error": "ValidationError", "message": "unknown key 'assume_zero_initial'"}
+
+    @pytest.mark.parametrize("text, t0, tau", [
+        ("profile = gaussian\namplitude = 1\ncenter = 0\nwidth = 1\nchi = 0.5\n"
+         "t_start = 9\nt_stop = 10\nn_points = 5\n", 9.0, 1.2533141373155001),
+        ("profile = rectangular\namplitude = 1\nduration = 2\nchi = 0.5\n"
+         "t_start = 3\nt_stop = 5\nn_points = 5\n", 3.0, 1.0),
+        ("profile = sampled\nprofile_times = 0, 1, 2, 3\nprofile_values = 0, 1, 0, 0\n"
+         "chi = 0.5\nt_start = 2.5\nt_stop = 3\nn_points = 3\n", 2.5, 0.5),
+    ], ids=["gaussian", "rectangular", "sampled"])
+    def test_grid_starting_after_a_pulse_rejected(self, tmp_path, capsys, text, t0, tau):
+        # the pump is off at t_start, but its area is not: the vacuum start would be wrong
+        record = refused(tmp_path, capsys, "evolve-model", text)
         assert record["error"] == "ValidationError"
-        assert "assume_zero_initial" in record["message"]
+        assert f"tau = {tau!r} does not vanish at t0={t0!r}" in record["message"]
 
 
 class TestCompare:

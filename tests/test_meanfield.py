@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracle import rk4_model
 from pnes import meanfield
-from pnes.errors import ExtrapolationError, ValidationError
+from pnes.errors import ExtrapolationError, NumericalError, ValidationError
 from pnes.meanfield import (
     PumpProfile,
     closed_form,
@@ -176,8 +176,9 @@ class TestTauOfT:
 
     def test_sampled_past_support_raises(self):
         p = PumpProfile.sampled([0.0, 1.0], [0.0, 1.0])
-        with pytest.raises(ExtrapolationError):
-            tau_of_t(p, 1.0, 1.5)
+        for t in (1.5, np.array([0.5, 1.5, 0.25])):
+            with pytest.raises(ExtrapolationError, match="t=1.5"):
+                tau_of_t(p, 1.0, t)
 
     def test_gaussian_deep_tail_matches_asymptotic_series(self):
         chi, a, c, w, z = 0.3, 1.7, 2.0, 0.5, 20.0
@@ -190,6 +191,21 @@ class TestTauOfT:
     def test_far_past_is_zero(self):
         for p in (PumpProfile.rectangular(1.0, 1.0), gaussian_with_area(1.0, 0.2)):
             assert tau_of_t(p, 1.0, -1e6) == 0.0
+
+    @pytest.mark.parametrize("p, ulps", [
+        (PumpProfile.constant(0.7), 0),
+        (PumpProfile.rectangular(1.3, 1.0), 0),
+        (PumpProfile.gaussian(1.0, 1.0, 0.3), 0),
+        (PumpProfile.sampled([0.25, 0.5, 1.25, 2.0], [1.0, -0.5, 0.4, 0.4]), 2),
+    ], ids=["constant", "rectangular", "gaussian", "sampled"])
+    def test_array_matches_per_point_calls(self, p, ulps):
+        # before the pump, on every breakpoint, inside pieces, and on the last sample
+        grid = np.concatenate((np.linspace(-0.5, 2.0, 41), [0.3, 1.0 / 3.0, 1.9]))
+        got = tau_of_t(p, 0.4, grid)
+        want = np.array([tau_of_t(p, 0.4, float(t)) for t in grid])
+        assert got.shape == grid.shape and type(tau_of_t(p, 0.4, 0.5)) is float
+        assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+        assert tau_of_t(p, 0.4, grid.reshape(4, 11)).tolist() == got.reshape(4, 11).tolist()
 
 
 class TestClosedForm:
@@ -216,6 +232,13 @@ class TestClosedForm:
                              ids=["nan", "inf", "array"])
     def test_rejects_non_finite_tau(self, tau):
         with pytest.raises(ValidationError, match="tau must be finite"):
+            closed_form(tau)
+
+    @pytest.mark.parametrize("tau", [400.0, -400.0, [0.5, 356.0]], ids=["400", "-400", "array"])
+    def test_overflow_is_a_numerical_error(self, tau):
+        # sinh(tau) cosh(tau) passes float64's largest value near |tau| = 355.3;
+        # pytest turns the RuntimeWarning of an unguarded overflow into an error
+        with pytest.raises(NumericalError, match="overflows float64"):
             closed_form(tau)
 
 
