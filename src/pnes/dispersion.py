@@ -94,7 +94,7 @@ def default_truncation(family, param, alpha):
 
 
 def _make_state(family, param, alpha):
-    """``states.initial_state`` on the ``default_truncation`` box, as ``kernels.Sectors``."""
+    """``states.initial_state`` on the ``default_truncation`` box."""
     trunc = default_truncation(family, param, alpha)
     return initial_state(family, param, alpha, trunc.d0, trunc.d1)
 

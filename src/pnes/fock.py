@@ -1,21 +1,21 @@
 """Truncated three-mode Fock space: pump (mode 0), signal (1), idler (2).
 
-Amplitudes are stored as a dense complex vector with row-major layout,
-pump index slowest: flat index of |n0, n1, n2> is (n0*d1 + n1)*d2 + n2.
-This is the exchange format of the package; this module holds only the
-box and the coupling (immutable NamedTuples whose constructors check their
-fields) and the state.  The interaction generator and the
-moments act on the sector layout of ``kernels``, which keeps only the
-occupied n1 - n2 sectors: a PureState enters it through
-``kernels.as_sectors`` and is scattered back on the way out.  Truncation is
-a hard cutoff; the propagator's estimate of the probability that reached
-it lives on its trajectory (``ExactTrajectory.leakage``), not on the state.
+The dense exchange format is a complex vector with row-major layout, pump
+index slowest: flat index of |n0, n1, n2> is (n0*d1 + n1)*d2 + n2.  This
+module holds the box and the coupling (immutable NamedTuples whose
+constructors check their fields) and ``PureState``, the one state type,
+which stores only the occupied n1 - n2 sectors of ``kernels``: the dense
+vector is gathered into sectors on the way in and scattered back on each
+read of ``amplitudes``, ``grid()`` or ``probabilities()``.  Truncation is a
+hard cutoff; the propagator's estimate of the probability that reached it
+lives on its trajectory (``ExactTrajectory.leakage``), not on the state.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import ValidationError
 
 # keep the dense vector comfortably in memory; 2^26 complex128 = 1 GiB
@@ -65,7 +65,14 @@ class HamiltonianParams(NamedTuple("HamiltonianParams", [("chi", float)])):
 
 
 class PureState:
-    """Normalized amplitude vector over the three-mode Fock basis."""
+    """A state of the box, held as its occupied n1 - n2 sectors.
+
+    ``psi`` is the (d0, M, J) sector array and ``layout`` its
+    ``kernels.SectorLayout``.  ``PureState(config, amplitudes)`` checks a
+    dense vector and gathers it; ``from_sectors`` wraps sectors as they are.
+    ``config`` follows from the layout; ``amplitudes`` (read-only), ``grid()``
+    and ``probabilities()`` scatter a new dense array on each read.
+    """
 
     def __init__(self, config, amplitudes):
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
@@ -73,15 +80,25 @@ class PureState:
             raise ValidationError(
                 f"amplitude vector length {amps.size} != config dimension {config.dim}"
             )
-        self.config = config
-        self.amplitudes = amps
+        if not (np.all(np.isfinite(amps)) and np.any(amps)):
+            raise ValidationError("amplitudes must be finite with a nonzero entry")
+        self.psi, self.layout = kernels.gather(amps.reshape(config.shape))
+
+    @classmethod
+    def from_sectors(cls, psi, layout):
+        """The state whose sector array on ``layout`` is psi (not copied, not checked)."""
+        self = cls.__new__(cls)
+        self.psi, self.layout = psi, layout
+        return self
+
+    config = property(lambda self: TruncationConfig(*self.layout.shape))
+    amplitudes = property(lambda self: self.grid().reshape(-1))
 
     def grid(self):
-        """Amplitudes viewed as a (d0, d1, d2) array (shares memory)."""
-        return self.amplitudes.reshape(self.config.shape)
+        return kernels.scatter(self.psi, self.layout)
 
     def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.psi))
 
     def probabilities(self):
         return np.abs(self.grid()) ** 2

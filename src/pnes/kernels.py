@@ -23,17 +23,15 @@ every sector occupied costs less than twice the dense (d0, d1, d2) grid.
 ``SectorLayout`` holds the index maps and every weight the kernels and the
 observables use, built once per (shape, sector set) and cached; weights are
 zero on padding and on the box edges.  ``gather`` and ``scatter`` convert
-between a dense grid and this layout, and ``as_sectors`` is the one way a
-caller taking either a PureState or a ``Sectors`` reaches it;
-``states.product_sectors`` builds a pump x pair state on it directly.  The
-propagator folds the chains K = n0 + m into max(d0, M) full blocks of
-min(d0, M) cells (cell (n0, m) goes to block K mod max(d0, M), at its index
-along the shorter of the two axes) and diagonalizes each block from the hop
-weights; ``apply_generator`` serves the equation-of-motion rate.
+between a dense grid and this layout; ``fock.PureState`` stores every state
+on it, and ``states.product_state`` builds a pump x pair state on it
+directly.  The propagator folds the chains K = n0 + m into max(d0, M) full
+blocks of min(d0, M) cells (cell (n0, m) goes to block K mod max(d0, M), at
+its index along the shorter of the two axes) and diagonalizes each block
+from the hop weights; ``apply_generator`` serves the equation-of-motion rate.
 """
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,13 +83,6 @@ def sector_layout(shape, deltas):
     return SectorLayout(shape, deltas)
 
 
-class Sectors(NamedTuple):
-    """A state on the sector layout: psi[n0, m, j] and its layout."""
-
-    psi: np.ndarray
-    layout: SectorLayout
-
-
 def occupied_sectors(grid):
     """Sorted n1 - n2 values of the sectors where the (d0, d1, d2) grid is nonzero."""
     _, d1, d2 = grid.shape
@@ -103,17 +94,12 @@ def occupied_sectors(grid):
 
 
 def gather(grid):
-    """The occupied sectors of a dense (d0, d1, d2) grid, as a new ``Sectors``."""
+    """(psi, layout): the occupied sectors of a dense (d0, d1, d2) grid, psi a new array."""
     layout = sector_layout(grid.shape, occupied_sectors(grid))
     # np.take keeps the result C-ordered; fancy indexing would put n0 fastest
     psi = np.take(grid.reshape(grid.shape[0], -1), layout.index, axis=1)
     psi[:, ~layout.valid] = 0.0
-    return Sectors(psi, layout)
-
-
-def as_sectors(s):
-    """s itself if it is a ``Sectors``, else the occupied sectors of the PureState s."""
-    return s if isinstance(s, Sectors) else gather(s.grid())
+    return psi, layout
 
 
 def scatter(psi, layout):

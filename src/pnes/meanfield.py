@@ -189,9 +189,11 @@ def _rk4_pass(p, chi, t_grid, n_sub):
     """RK4 with n_sub substeps per piece, one 3x3 step matrix per substep.
 
     The pieces are the grid intervals split at the profile's breakpoints.
-    Each substep column evaluates the pump once per stage for all pieces and
-    multiplies the step matrices into each piece's product; a log-depth
-    prefix product over the pieces then gives the state at every edge.  The
+    Each substep column evaluates the pump at its middle and end stages for
+    all pieces (its start stage is the previous column's end, the same
+    time) and multiplies the step matrices into each piece's product; a
+    log-depth prefix product over the pieces then gives the state at every
+    edge.  The
     stage times are those of scalar RK4, each moved one ulp toward its piece's
     midpoint: the substep time advances by h and the last substep ends exactly
     at the piece's right end.
@@ -208,13 +210,14 @@ def _rk4_pass(p, chi, t_grid, n_sub):
     powers = np.stack([np.linalg.matrix_power(A, j) for j in range(5)]).reshape(5, 9)
     prod = np.eye(3)
     t = lo
+    s1 = h * p.amplitude(np.nextafter(t, mid))
     for i in range(n_sub):
         t_end = hi if i == n_sub - 1 else t + h
-        s1, s2, s4 = (h * p.amplitude(np.nextafter(s, mid)) for s in (t, t + 0.5 * h, t_end))
+        s2, s4 = (h * p.amplitude(np.nextafter(s, mid)) for s in (t + 0.5 * h, t_end))
         coef = np.stack((np.ones_like(h), (s1 + 4.0 * s2 + s4) / 6.0, s2 * (s1 + s2 + s4) / 6.0,
                          s2 * s2 * (s1 + s4) / 12.0, s1 * s2 * s2 * s4 / 24.0), axis=-1)
         prod = (coef @ powers).reshape(-1, 3, 3) @ prod
-        t = t_end
+        t, s1 = t_end, s4  # a substep's end stage is the next one's start stage
     shift = 1
     while shift < len(prod):  # prod[j] becomes the product over pieces 0..j
         prod[shift:] = prod[shift:] @ prod[:-shift]

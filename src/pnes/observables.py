@@ -1,8 +1,8 @@
 """Expectation values and dispersions for the pair operators.
 
-All moments are assembled matrix-free from ladder actions on the sector
-layout of ``kernels`` (reached through ``kernels.as_sectors``), so their cost
-follows the occupied n1 - n2 sectors, not the dense grid:
+All moments are assembled matrix-free from ladder actions on the sectors a
+``PureState`` holds (``s.psi`` on ``s.layout``, see ``kernels``), so their
+cost follows the occupied n1 - n2 sectors, not the dense grid:
 
     A   = a1 a2            pair amplitude (expectation is the model's Lambda)
     N   = n1 + n2          total pair photon number
@@ -47,12 +47,11 @@ class ObservableSet(NamedTuple):
 def measure(s):
     """All observables of one state, computed together on the sector layout.
 
-    s is a PureState or a ``kernels.Sectors``.  A A+ and
-    A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the A A+ weight
-    is zeroed on the raise boundary so the dispersions agree with the
-    truncated operators (and with the dense oracle) everywhere.
+    A A+ and A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the
+    A A+ weight is zeroed on the raise boundary so the dispersions agree
+    with the truncated operators (and with the dense oracle) everywhere.
     """
-    psi, lay = kernels.as_sectors(s)
+    psi, lay = s.psi, s.layout
     p = psi.real**2 + psi.imag**2
     p_pair = p.sum(axis=0)
     total_n = float(np.sum(lay.nsum * p_pair))
@@ -90,9 +89,9 @@ def disp_plus_rate(s, chi):
     The Heisenberg equation of motion gives
     dD/dt = 2 Re<G psi|C+^2 psi> - 4 <C+> Re<G psi|C+ psi>; C+ is real
     symmetric, so <g|C+^2 psi> = <C+ g|C+ psi> and C+^2 is never formed.
-    One G application, no evolution.  s is a PureState or a kernels.Sectors.
+    One G application, no evolution.
     """
-    psi, lay = kernels.as_sectors(s)
+    psi, lay = s.psi, s.layout
     g = kernels.apply_generator(psi, chi, np.empty_like(psi), lay)
     c_psi = kernels.apply_pair_quadrature(psi, np.empty_like(psi), lay)
     c_g = kernels.apply_pair_quadrature(g, np.empty_like(psi), lay)

@@ -5,17 +5,17 @@ G = chi (a1+ a2+ a0 - a1 a2 a0+); the free-Hamiltonian terms are removed
 analytically (at resonance they only rotate phases jointly and commute
 with the interaction).
 
-G conserves n1 - n2, so ``evolve`` works on the occupied sectors only, as
-psi[n0, m, j] (see ``kernels``).  There G only hops (n0 + 1, m) <-> (n0, m + 1),
-so each chain K = n0 + m evolves alone under a real antisymmetric tridiagonal
-matrix with off-diagonal chi * hop[K - m - 1, m, j].  The chains are folded
-into P = max(d0, M) blocks of L = min(d0, M) cells: cell (n0, m) goes to
-block K mod P, at its index along the shorter of the n0 and m axes.  A block
-holds chain b, or chains b and b + P with no hop where they meet, so the fold
-is a permutation of the cells, with no padding, and each block's G is one
-L x L tridiagonal matrix D (-i S) D^-1 with D = diag(i^c) and S real
-symmetric.  One ``np.linalg.eigh`` per block, S = V diag(w) V^T, gives the
-exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps``
+G conserves n1 - n2, so ``evolve`` works on the occupied sectors a
+``PureState`` holds, psi[n0, m, j] (see ``kernels``).  There G only hops
+(n0 + 1, m) <-> (n0, m + 1): each chain K = n0 + m evolves alone under a real
+antisymmetric tridiagonal matrix with off-diagonal chi * hop[K - m - 1, m, j].
+The chains are folded into P = max(d0, M) blocks of L = min(d0, M) cells: cell
+(n0, m) goes to block K mod P, at its index along the shorter of the n0 and m
+axes.  A block holds chain b, or chains b and b + P with no hop where they
+meet, so the fold is a permutation of the cells, with no padding, and each
+block's G is one L x L tridiagonal matrix D (-i S) D^-1 with D = diag(i^c) and
+S real symmetric.  One ``np.linalg.eigh`` per block, S = V diag(w) V^T, gives
+the exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps``
 only set the output grid.  The norm is reported, never renormalized.  The
 leakage estimate belongs to the trajectory, not to the state; what it is and
 is not is stated on ``ExactTrajectory``.
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NoisyDerivativeError, ValidationError
-from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState, TruncationConfig
+from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState
 from .observables import measure
 
 
@@ -59,7 +59,7 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
 
 
 class ExactTrajectory(NamedTuple):
-    """What ``evolve`` records; ``final_state`` is built on read.  ``leakage``
+    """What ``evolve`` records, ending in ``final_state``.  ``leakage``
     and ``leakages`` estimate the probability pushed past the cutoff: every
     ``evolve`` starts at 0 and adds dt^2 times the squared boundary flux
     (``kernels.discard_flux_sq``) per step.  That Euler heuristic is not a
@@ -70,20 +70,13 @@ class ExactTrajectory(NamedTuple):
     observables: list
     norms: np.ndarray
     leakages: np.ndarray
-    final: kernels.Sectors
+    final_state: PureState
     norm_drift: float
     leakage: float
 
-    @property
-    def final_state(self):
-        """The final state as a dense PureState, scattered from ``final`` on each read."""
-        psi, layout = self.final
-        grid = kernels.scatter(psi, layout)
-        return PureState(TruncationConfig(*layout.shape), grid.reshape(-1))
 
-
-def _chain_stepper(sectors, chi, dt):
-    """A function that advances the psi of ``sectors`` by exp(G dt) per call.
+def _chain_stepper(psi, layout, chi, dt):
+    """A function that advances the sector array psi on ``layout`` by exp(G dt) per call.
 
     The fold (see the module docstring) maps cell (n0, m) to position c of
     block (n0 + m) mod P, c = m if d0 >= M, else c = n0.  G takes
@@ -95,7 +88,6 @@ def _chain_stepper(sectors, chi, dt):
     there one block at a time.  ValidationError, before any eigh, if V would
     exceed 2 * MAX_TOTAL_DIM float64, as many bytes as the largest dense state.
     """
-    psi, layout = sectors
     d0, M, J = psi.shape
     P, L = max(d0, M), min(d0, M)
     if P * J * L * L > 2 * MAX_TOTAL_DIM:
@@ -137,20 +129,18 @@ def _chain_stepper(sectors, chi, dt):
 def evolve(s0, spec):
     """exp(G t) s0 at t = dt, 2 dt, ..., steps * dt, exact at each time.
 
-    s0 is a PureState or a ``kernels.Sectors`` (see ``kernels.as_sectors``),
-    and the final state never shares its array; for the leakage estimate
-    see ``ExactTrajectory``.  Observables are recorded every record_every
-    steps (always including the initial and final times).  The dense final
-    state is built only when ``final_state`` is read.  Raises ValidationError
+    The final state never shares its sector array with s0; for the leakage
+    estimate see ``ExactTrajectory``.  Observables are recorded every
+    record_every steps (always including the initial and final times).
+    Nothing scatters to the dense grid.  Raises ValidationError
     when the blocks' eigenvectors would not fit (see ``_chain_stepper``).
     """
-    sectors = kernels.as_sectors(s0)
-    psi, layout = sectors
+    psi, layout = s0.psi, s0.layout
     chi = spec.params.chi
-    step = _chain_stepper(sectors, chi, spec.dt)
+    step = _chain_stepper(psi, layout, chi, spec.dt)
 
     times = [0.0]
-    obs = [measure(sectors)]
+    obs = [measure(s0)]
     norms = [float(np.linalg.norm(psi))]
     leak = 0.0
     leaks = [leak]
@@ -159,7 +149,7 @@ def evolve(s0, spec):
         psi = step()
         if (k + 1) % spec.record_every == 0 or k + 1 == spec.steps:
             times.append((k + 1) * spec.dt)
-            obs.append(measure(kernels.Sectors(psi, layout)))
+            obs.append(measure(PureState.from_sectors(psi, layout)))
             norms.append(float(np.linalg.norm(psi)))
             leaks.append(leak)
 
@@ -170,7 +160,7 @@ def evolve(s0, spec):
         observables=obs,
         norms=norms_arr,
         leakages=np.asarray(leaks),
-        final=kernels.Sectors(psi.copy() if spec.steps == 0 else psi, layout),
+        final_state=PureState.from_sectors(psi.copy() if spec.steps == 0 else psi, layout),
         norm_drift=drift,
         leakage=leak,
     )
@@ -182,9 +172,8 @@ _FD_TOL = 1e-4
 def rate_of(s0, params, f):
     """d<f>/dt at t=0 by Richardson-extrapolated central differences.
 
-    f is a callable on the ``kernels.Sectors`` of each evolved state, e.g.
-    ``lambda s: measure(s).disp_plus``; ``measure`` and the ``expect_*``
-    helpers take either a Sectors or a PureState.
+    f is a callable on each evolved ``PureState``, e.g.
+    ``lambda s: measure(s).disp_plus``.
     Central differences with steps h and h/2 are combined to fourth order;
     each side is one exact evolution over +h or -h, with
     h = 1e-3 / (chi * max(1, |<a0>|, <N>)).
@@ -197,7 +186,7 @@ def rate_of(s0, params, f):
     h = 1e-3 / (params.chi * max(1.0, abs(o.pump_amp), o.total_n))
 
     def central(step):
-        fp, fm = (f(evolve(s0, EvolutionSpec(params, dt=t, steps=1)).final)
+        fp, fm = (f(evolve(s0, EvolutionSpec(params, dt=t, steps=1)).final_state)
                   for t in (step, -step))
         return (fp - fm) / (2.0 * step)
 

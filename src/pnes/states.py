@@ -2,8 +2,7 @@
 
 Pair states live in the signal/idler sector and are returned as PureState
 instances with a trivial pump dimension d0 = 1 (pump in vacuum); use
-``product_state`` to attach a real pump mode, or ``product_sectors`` for the
-same state on the sector layout of ``kernels``; ``initial_state`` builds the
+``product_state`` to attach a real pump mode; ``initial_state`` builds the
 coherent(alpha) x pair state of every exact run.  ``check_alpha`` and
 ``check_param`` are the one check of alpha and of a family's parameter.
 ``PAIR_FAMILIES`` states each family's domain and its smallest cutoff, which
@@ -141,17 +140,8 @@ def pump_dimension(alpha):
 def product_state(pump, pair):
     """Tensor product of a single-mode pump vector with a pair-sector state.
 
-    The dense PureState of ``product_sectors(pump, pair)``.
-    """
-    psi, layout = product_sectors(pump, pair)
-    return PureState(TruncationConfig(*layout.shape), kernels.scatter(psi, layout).reshape(-1))
-
-
-def product_sectors(pump, pair):
-    """Tensor product of a pump vector with a pair state, as a ``kernels.Sectors``.
-
-    The pump amplitudes times the gathered sectors of the pair, normalized;
-    the dense (d0, d1, d2) grid is never built.
+    The pump amplitudes times the pair's sectors, normalized; the dense
+    (d0, d1, d2) grid is never built.
     """
     if isinstance(pump, CoherentMode):
         pump = pump.amplitudes
@@ -161,10 +151,9 @@ def product_sectors(pump, pair):
     if pair.config.d0 != 1:
         raise ValidationError("pair state must have trivial pump dimension d0 = 1")
     cfg = TruncationConfig(pump.size, pair.config.d1, pair.config.d2)
-    pair_psi, pair_layout = kernels.gather(pair.grid())
-    psi = pump[:, None, None] * pair_psi
+    psi = pump[:, None, None] * pair.psi
     psi /= np.linalg.norm(psi)
-    return kernels.Sectors(psi, kernels.sector_layout(cfg.shape, pair_layout.deltas))
+    return PureState.from_sectors(psi, kernels.sector_layout(cfg.shape, pair.layout.deltas))
 
 
 # name -> (constructor(param, d), smallest cutoff d of param, domain of param as
@@ -184,7 +173,7 @@ def check_param(family, param):
 
 
 def initial_state(family, param, alpha, d0, d):
-    """coherent(alpha) on d0 pump levels times family(param) on d pair levels, as sectors.
+    """coherent(alpha) on d0 pump levels times family(param) on d pair levels.
 
     d0 = 0 chooses ``pump_dimension(alpha)``.  A negative d0 or an oversized
     box is refused before anything is built, and a d0 that cuts off more than
@@ -202,4 +191,4 @@ def initial_state(family, param, alpha, d0, d):
         )
     if family not in PAIR_FAMILIES:
         raise ValidationError(f"family must be one of {', '.join(PAIR_FAMILIES)}, got {family!r}")
-    return product_sectors(pump, PAIR_FAMILIES[family][0](param, d))
+    return product_state(pump, PAIR_FAMILIES[family][0](param, d))

@@ -612,15 +612,14 @@ def test_oversized_box_rejected_before_building_the_pump(tmp_path, capsys, monke
 
 
 def _forbid_dense_grid(monkeypatch):
-    """Make states.product_state and kernels.scatter raise, in every pnes module holding them."""
+    """Make kernels.scatter, the one way to the dense grid, raise in every pnes module holding it."""
     def refuse(*args, **kwargs):
         raise AssertionError("built the dense (d0, d1, d2) grid")
 
     for name, module in list(sys.modules.items()):
         if name == "pnes" or name.startswith("pnes."):
-            for attr in ("product_state", "scatter"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+            if hasattr(module, "scatter"):
+                monkeypatch.setattr(module, "scatter", refuse)
 
 
 @pytest.mark.parametrize("command, text", [

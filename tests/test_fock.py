@@ -46,6 +46,23 @@ class TestPureState:
         with pytest.raises(ValidationError, match="length 7 != config dimension 8"):
             PureState(TruncationConfig(2, 2, 2), np.ones(7))
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    def test_rejects_a_zero_or_non_finite_vector(self, bad):
+        amps = np.zeros(8, dtype=complex)
+        amps[3] = bad
+        with pytest.raises(ValidationError, match="finite with a nonzero entry"):
+            PureState(TruncationConfig(2, 2, 2), amps)
+
+    def test_dense_reads_are_new_arrays(self):
+        amps = np.zeros(8, dtype=complex)
+        amps[7] = 1.0
+        s = PureState(TruncationConfig(2, 2, 2), amps)
+        amps[7] = 0.0
+        s.grid()[...] = 0.0
+        s.amplitudes[...] = 0.0
+        assert s.norm() == 1.0
+        assert s.amplitudes[7] == 1.0
+
 
 class TestBasisIndex:
     def test_origin(self):

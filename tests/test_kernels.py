@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pnes import kernels
+from pnes.fock import PureState, TruncationConfig
 
 from oracle import dense_generator
 
@@ -35,8 +36,8 @@ def test_discard_flux_zero_on_interior():
     psi[-1, :, :] = 0
     psi[:, -1, :] = 0
     psi[:, :, -1] = 0
-    sectors = kernels.gather(psi)
-    assert kernels.discard_flux_sq(sectors.psi, 1.0, sectors.layout) == 0.0
+    s = PureState(TruncationConfig(*psi.shape), psi.reshape(-1))
+    assert kernels.discard_flux_sq(s.psi, 1.0, s.layout) == 0.0
 
 
 def test_discard_flux_matches_extended_box():
@@ -50,7 +51,7 @@ def test_discard_flux_matches_extended_box():
     outside = out_big.copy()
     outside[:4, :4, :4] = 0.0
     want = float(np.sum(np.abs(outside) ** 2))
-    sectors = kernels.gather(psi)
-    assert kernels.discard_flux_sq(sectors.psi, chi, sectors.layout) == pytest.approx(
+    s = PureState(TruncationConfig(*shape), psi.reshape(-1))
+    assert kernels.discard_flux_sq(s.psi, chi, s.layout) == pytest.approx(
         want, rel=1e-12
     )

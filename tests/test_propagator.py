@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnes import kernels
 from pnes.errors import NoisyDerivativeError, ValidationError
 from pnes.fock import HamiltonianParams, PureState, TruncationConfig, basis_index, basis_state
 from pnes.meanfield import closed_form
 from pnes.observables import measure
 from pnes.propagator import EvolutionSpec, evolve, rate_of
-from pnes.states import coherent, initial_state, pnes, product_sectors, product_state, twb
+from pnes.states import coherent, initial_state, pnes, product_state, twb
 
 from oracle import dense_generator
 
@@ -151,10 +150,10 @@ class TestEvolve:
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.02, steps=10, record_every=4))
         np.testing.assert_allclose(traj.times, [0.0, 0.08, 0.16, 0.2])
 
-    def test_zero_steps_returns_a_copy_of_a_sectors_input(self):
+    def test_zero_steps_returns_a_copy_of_the_input(self):
         s = initial_state("twb", 0.3, 1.0, 0, 12)
         before = s.psi.copy()
-        final = evolve(s, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, steps=0)).final
+        final = evolve(s, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, steps=0)).final_state
         assert final.psi is not s.psi
         final.psi[...] = 0.0
         np.testing.assert_array_equal(s.psi, before)
@@ -197,9 +196,10 @@ class TestFoldedBlocks:
     def test_sectors_start_matches_pure_state_start(self):
         pump, pair = coherent(1.5, 12), twb(0.3, 14)
         spec = EvolutionSpec(HamiltonianParams(0.2), dt=0.1, steps=10, record_every=5)
-        from_sectors = evolve(product_sectors(pump, pair), spec)
-        from_state = evolve(product_state(pump, pair), spec)
-        assert isinstance(from_sectors.final, kernels.Sectors)
+        s = product_state(pump, pair)
+        from_sectors = evolve(s, spec)
+        from_state = evolve(PureState(s.config, s.amplitudes), spec)
+        assert isinstance(from_sectors.final_state, PureState)
         np.testing.assert_allclose(from_sectors.final_state.amplitudes,
                                    from_state.final_state.amplitudes, rtol=0, atol=1e-14)
         assert from_sectors.final_state.config == from_state.final_state.config

@@ -45,6 +45,9 @@ def test_gather_then_scatter_is_identity(state):
     assert layout.deltas == chosen
     assert np.array_equal(kernels.scatter(psi, layout), grid)
     assert np.all(psi[:, ~layout.valid] == 0.0)
+    if chosen:  # PureState refuses an all-zero vector
+        amps = grid.reshape(-1)
+        assert PureState(TruncationConfig(*grid.shape), amps).amplitudes.tobytes() == amps.tobytes()
     # the padded layout never costs twice the dense grid
     assert psi.size < 2 * grid.size
 
@@ -86,7 +89,8 @@ def test_disp_plus_rate_matches_dense_equation_of_motion(state, chi):
 @given(sector_states(min_sectors=1))
 def test_disp_plus_rate_vanishes_without_coupling(state):
     grid, _ = state
-    assert disp_plus_rate(kernels.gather(grid), 0.0) == 0.0
+    s = PureState(TruncationConfig(*grid.shape), grid.reshape(-1))
+    assert disp_plus_rate(s, 0.0) == 0.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,7 +17,6 @@ from pnes.states import (
     min_dimension_tmc,
     min_dimension_twb,
     pnes,
-    product_sectors,
     product_state,
     pump_dimension,
     tmc,
@@ -221,9 +220,8 @@ class TestProductState:
     @pytest.mark.parametrize("pump", [np.zeros(3), [1.0, math.nan], [math.inf, 0.0], []],
                              ids=["zero", "nan", "inf", "empty"])
     def test_rejects_zero_or_non_finite_pump(self, pump):
-        for build in (product_sectors, product_state):
-            with pytest.raises(ValidationError, match="pump amplitudes"):
-                build(pump, pnes([1.0], 2))
+        with pytest.raises(ValidationError, match="pump amplitudes"):
+            product_state(pump, pnes([1.0], 2))
 
 
 class TestProductSectors:
@@ -231,13 +229,13 @@ class TestProductSectors:
                              ids=["twb", "tmc", "vacuum"])
     def test_is_the_gathered_kronecker_product(self, pair):
         pump = coherent(1.5, 20)
-        psi, layout = product_sectors(pump, pair)
+        s = product_state(pump, pair)
         grid = np.kron(pump.amplitudes, pair.amplitudes).reshape(20, *pair.config.shape[1:])
-        want, want_layout = kernels.gather(grid / np.linalg.norm(grid))
-        assert layout is want_layout
-        np.testing.assert_allclose(psi, want, rtol=0, atol=1e-15)
-        dense = product_state(pump, pair).grid()
-        np.testing.assert_array_equal(dense, kernels.scatter(psi, layout))
+        grid /= np.linalg.norm(grid)
+        want, want_layout = kernels.gather(grid)
+        assert s.layout is want_layout
+        np.testing.assert_allclose(s.psi, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(s.grid(), grid, rtol=0, atol=1e-15)
 
 
 class TestFactoryInvariants:
@@ -283,10 +281,10 @@ class TestMinDimensions:
 
 class TestInitialState:
     def test_is_the_product_of_pump_and_pair(self):
-        psi, layout = initial_state("twb", 0.3, 1.5, 0, 12)
-        want, want_layout = product_sectors(coherent(1.5, pump_dimension(1.5)), twb(0.3, 12))
-        assert layout is want_layout
-        np.testing.assert_array_equal(psi, want)
+        s = initial_state("twb", 0.3, 1.5, 0, 12)
+        want = product_state(coherent(1.5, pump_dimension(1.5)), twb(0.3, 12))
+        assert s.layout is want.layout
+        np.testing.assert_array_equal(s.psi, want.psi)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValidationError, match="'squeezed'"):
