@@ -7,8 +7,9 @@ constructors check their fields) and ``PureState``, the one state type,
 which stores only the occupied n1 - n2 sectors of ``kernels``: the dense
 vector is gathered into sectors on the way in and scattered back on each
 read of ``amplitudes``, ``grid()`` or ``probabilities()``.  Truncation is a
-hard cutoff; the propagator's estimate of the probability that reached it
-lives on its trajectory (``ExactTrajectory.leakage``), not on the state.
+hard cutoff; the propagator reports the probability each recorded state has
+on the box's edge cells (``ExactTrajectory.leakages``), a diagnostic, not a
+bound on the truncation error.
 """
 
 from typing import NamedTuple

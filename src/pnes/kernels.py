@@ -22,10 +22,12 @@ Sectors shorter than min(d1, d2) are padded with zeros, so a state with
 every sector occupied costs less than twice the dense (d0, d1, d2) grid.
 ``SectorLayout`` holds the index maps and every weight the kernels and the
 observables use, built once per (shape, sector set) and cached; weights are
-zero on padding and on the box edges.  ``gather`` and ``scatter`` convert
-between a dense grid and this layout; ``fock.PureState`` stores every state
-on it, and ``states.product_state`` builds a pump x pair state on it
-directly.  The propagator folds the chains K = n0 + m into max(d0, M) full
+zero on padding and on the box edges.  Its mask ``edge`` marks the edge
+cells, those from which one application of G leaves the box; the propagator
+reports the probability on them (``ExactTrajectory.leakage``).  ``gather``
+and ``scatter`` convert between a dense grid and this layout;
+``fock.PureState`` stores every state on it, and ``states.product_state``
+builds a pump x pair state on it directly.  The propagator folds the chains K = n0 + m into max(d0, M) full
 blocks of min(d0, M) cells (cell (n0, m) goes to block K mod max(d0, M), at
 its index along the shorter of the two axes) and diagonalizes each block
 from the hop weights; ``apply_generator`` serves the equation-of-motion rate.
@@ -53,25 +55,22 @@ class SectorLayout:
         self.valid = m < length
         # flat (n1, n2) index of each cell; padding points at cell 0 and is zeroed
         self.index = np.where(self.valid, n1 * d2 + n2, 0)
-        # the last valid m of each sector sits on the n1 or n2 edge
-        self.top = length - 1
-        self.cols = np.arange(len(deltas))
         self.n0 = np.arange(d0, dtype=float)
         self.delta = delta.astype(float)
         self.n1n2 = np.where(self.valid, n1 * n2, 0).astype(float)
         self.nsum = np.where(self.valid, n1 + n2, 0).astype(float)
         # A A+ is diagonal with weight (n1+1)(n2+1), zero on the raise boundary;
         # A = a1 a2 takes m + 1 to m with the square root of it
-        raise_all = (n1 + 1.0) * (n2 + 1.0)
-        self.raise_w = np.where(m + 1 < length, raise_all, 0.0)
+        self.raise_w = np.where(m + 1 < length, (n1 + 1.0) * (n2 + 1.0), 0.0)
         self.pair_w = np.sqrt(self.raise_w)
         self.pair2_w = self.pair_w[:-2] * self.pair_w[1:-1]
         self.pump_w = np.sqrt(self.n0[1:])[:, None, None]
         # G hops between (n0 + 1, m) and (n0, m + 1)
         self.hop = self.pump_w * self.pair_w[None, :-1, :]
-        # discard flux: a1 a2 a0+ out of the pump edge, a1+ a2+ a0 out of the pair edge
-        self.pump_edge_w = d0 * self.n1n2
-        self.pair_edge_w = self.n0[:, None] * raise_all[self.top, self.cols]
+        # the cells G maps out of the box: a1 a2 a0+ from the pump edge n0 = d0 - 1
+        # with n1 n2 > 0, a1+ a2+ a0 from each sector's last pair level with n0 > 0
+        n0 = np.arange(d0)[:, None, None]
+        self.edge = (n0 == d0 - 1) & (self.n1n2 > 0) | (n0 > 0) & (m == length - 1)
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
@@ -135,14 +134,3 @@ def apply_pair_quadrature(psi, out, layout):
     out[:, 1:] += w * psi[:, :-1]
     return out
 
-
-def discard_flux_sq(psi, chi, layout):
-    """Squared norm of the component of G psi that falls outside the cutoff box.
-
-    The propagator's leakage estimate (see ``propagator.ExactTrajectory``)
-    sums dt^2 * discard_flux_sq(psi) per step.  Zero whenever psi is
-    supported strictly inside the cutoff boundary.
-    """
-    pump_edge = np.sum(layout.pump_edge_w * np.abs(psi[-1]) ** 2)
-    pair_edge = np.sum(layout.pair_edge_w * np.abs(psi[:, layout.top, layout.cols]) ** 2)
-    return float(chi * chi * (pump_edge + pair_edge))

@@ -16,9 +16,8 @@ meet, so the fold is a permutation of the cells, with no padding, and each
 block's G is one L x L tridiagonal matrix D (-i S) D^-1 with D = diag(i^c) and
 S real symmetric.  One ``np.linalg.eigh`` per block, S = V diag(w) V^T, gives
 the exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps``
-only set the output grid.  The norm is reported, never renormalized.  The
-leakage estimate belongs to the trajectory, not to the state; what it is and
-is not is stated on ``ExactTrajectory``.
+only set the output grid, and only the recorded times are computed.  The norm
+is reported, never renormalized; the leakage is stated on ``ExactTrajectory``.
 """
 
 import sys
@@ -26,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .errors import NoisyDerivativeError, ValidationError
 from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState
 from .observables import measure
@@ -47,24 +45,26 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
             raise ValidationError(f"steps must be >= 0, got {steps}")
         if record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {record_every}")
-        # each step adds dt^2 (chi^2 edge_sum) to the leakage (float products: inf or
-        # nan on overflow); for a unit-norm state edge_sum <= 2 MAX_TOTAL_DIM, two edges
-        # whose weights, d0 n1 n2 and n0 (n1 + 1)(n2 + 1), are at most the box size d0 d^2
+        # a conservative bound, in float products (inf or nan on overflow): steps |dt|
+        # bounds the recorded times, and every hop weight is below sqrt(MAX_TOTAL_DIM),
+        # so phase_sq bounds half the square of each one-step phase w dt; both, and
+        # steps times phase_sq, must be finite
         chi, h = float(params.chi), float(dt)
-        leak_step = h * h * (chi * chi * 2.0 * MAX_TOTAL_DIM)
-        if not (np.isfinite(leak_step) and steps <= sys.float_info.max / max(abs(h), leak_step)):
-            raise ValidationError(f"dt={dt!r}, steps={steps} and chi={chi!r} overflow the "
-                                  "recorded times or the leakage estimate")
+        phase_sq = h * h * (chi * chi * 2.0 * MAX_TOTAL_DIM)
+        if not (np.isfinite(phase_sq) and steps <= sys.float_info.max / max(abs(h), phase_sq)):
+            raise ValidationError(f"dt={dt!r}, steps={steps} and chi={chi!r} exceed the "
+                                  "conservative bound on the recorded times and the "
+                                  "propagator's phases")
         return super().__new__(cls, params, dt, steps, record_every)
 
 
 class ExactTrajectory(NamedTuple):
-    """What ``evolve`` records, ending in ``final_state``.  ``leakage``
-    and ``leakages`` estimate the probability pushed past the cutoff: every
-    ``evolve`` starts at 0 and adds dt^2 times the squared boundary flux
-    (``kernels.discard_flux_sq``) per step.  That Euler heuristic is not a
-    probability: it grows with ``dt`` (50 steps of dt = 1e6 on a 4-level
-    pair box give 2.2e14 while the norm stays 1 to 1e-15)."""
+    """What ``evolve`` records, ending in ``final_state``.  ``leakages[k]`` is
+    the probability at ``times[k]`` on the edge cells (``SectorLayout.edge``),
+    from which one application of G leaves the box; ``leakage`` is the largest
+    and ``norm_drift`` the largest |norm^2 - 1|.  It lies in [0, 1] and does
+    not depend on ``dt``, but it is a diagnostic, not a bound on the truncation
+    error: it misses probability that crosses the edge between two records."""
 
     times: np.ndarray
     observables: list
@@ -75,8 +75,11 @@ class ExactTrajectory(NamedTuple):
     leakage: float
 
 
-def _chain_stepper(psi, layout, chi, dt):
-    """A function that advances the sector array psi on ``layout`` by exp(G dt) per call.
+def _chain_stepper(psi, layout, chi):
+    """A function ``step(h)`` that advances the sector array psi on ``layout`` by exp(G h).
+
+    Each call rotates the blocks' coefficients in place and returns the new
+    sector array; the rotation exp(-i w h) is computed once for each distinct h.
 
     The fold (see the module docstring) maps cell (n0, m) to position c of
     block (n0 + m) mod P, c = m if d0 >= M, else c = n0.  G takes
@@ -117,52 +120,52 @@ def _chain_stepper(psi, layout, chi, dt):
     # the float64 view of a complex array
     columns = np.matmul(V.swapaxes(-1, -2), x.view(np.float64).reshape(*x.shape, 2))
     coef = columns.view(np.complex128)[..., 0]
-    rotation = np.exp(-1j * dt * w)
+    rotations = {}
 
-    def step():
-        np.multiply(coef, rotation, out=coef)  # rotates columns, which coef views
+    def step(h):
+        if h not in rotations:
+            rotations[h] = np.exp(-1j * h * w)
+        np.multiply(coef, rotations[h], out=coef)  # rotates columns, which coef views
         return (np.matmul(V, columns).view(np.complex128)[..., 0] * d)[block, :, pos]
 
     return step
 
 
 def evolve(s0, spec):
-    """exp(G t) s0 at t = dt, 2 dt, ..., steps * dt, exact at each time.
+    """exp(G t) s0 at t = k dt, k = 0, r, 2 r, ..., steps (r = record_every), exact at each.
 
-    The final state never shares its sector array with s0; for the leakage
-    estimate see ``ExactTrajectory``.  Observables are recorded every
-    record_every steps (always including the initial and final times).
-    Nothing scatters to the dense grid.  Raises ValidationError
-    when the blocks' eigenvectors would not fit (see ``_chain_stepper``).
+    Only those times are computed.  The final state never shares its sector
+    array with s0.  Nothing scatters to the dense grid.  Raises
+    ValidationError when the blocks' eigenvectors would not fit (see
+    ``_chain_stepper``).
     """
     psi, layout = s0.psi, s0.layout
-    chi = spec.params.chi
-    step = _chain_stepper(psi, layout, chi, spec.dt)
+    step = _chain_stepper(psi, layout, spec.params.chi)
+    times, obs, norms, leakages = [], [], [], []
 
-    times = [0.0]
-    obs = [measure(s0)]
-    norms = [float(np.linalg.norm(psi))]
-    leak = 0.0
-    leaks = [leak]
-    for k in range(spec.steps):
-        leak += spec.dt * spec.dt * kernels.discard_flux_sq(psi, chi, layout)
-        psi = step()
-        if (k + 1) % spec.record_every == 0 or k + 1 == spec.steps:
-            times.append((k + 1) * spec.dt)
-            obs.append(measure(PureState.from_sectors(psi, layout)))
-            norms.append(float(np.linalg.norm(psi)))
-            leaks.append(leak)
+    def record(t, psi):
+        times.append(t)
+        obs.append(measure(PureState.from_sectors(psi, layout)))
+        norms.append(float(np.linalg.norm(psi)))
+        leakages.append(float(np.sum(np.abs(psi[layout.edge]) ** 2)))
 
-    norms_arr = np.asarray(norms)
-    drift = float(np.max(np.abs(norms_arr**2 + np.asarray(leaks) - 1.0)))
+    record(0.0, psi)
+    r, k0 = spec.record_every, 0
+    for k in range(r, spec.steps + r, r):
+        k = min(k, spec.steps)
+        psi = step((k - k0) * spec.dt)
+        record(k * spec.dt, psi)
+        k0 = k
+
+    norms = np.asarray(norms)
     return ExactTrajectory(
         times=np.asarray(times),
         observables=obs,
-        norms=norms_arr,
-        leakages=np.asarray(leaks),
+        norms=norms,
+        leakages=np.asarray(leakages),
         final_state=PureState.from_sectors(psi.copy() if spec.steps == 0 else psi, layout),
-        norm_drift=drift,
-        leakage=leak,
+        norm_drift=float(np.max(np.abs(norms**2 - 1.0))),
+        leakage=max(leakages),
     )
 
 

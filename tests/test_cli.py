@@ -733,7 +733,8 @@ def test_overflowing_times_or_leakage_refused_before_building_a_state(tmp_path, 
     monkeypatch.setattr(pnes.cli, "_build_exact_state", refuse)
     record = refused(tmp_path, capsys, command, "alpha = 1\npair_dim = 4\n" + values)
     assert record["error"] == "ValidationError"
-    assert "overflow the recorded times or the leakage estimate" in record["message"]
+    assert ("conservative bound on the recorded times and the propagator's phases"
+            in record["message"])
 
 
 class TestExitCodes:

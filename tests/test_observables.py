@@ -106,7 +106,7 @@ class TestPhotonNumberDistribution:
         p = photon_number_distribution(pnes([1.0], 4), 1)
         np.testing.assert_array_equal(p, [1, 0, 0, 0])
 
-    def test_sums_to_one_minus_leakage(self):
+    def test_sums_to_one(self):
         s = product_state(coherent(1.0, 15), twb(0.4, 20))
         for mode in (0, 1, 2):
             assert np.sum(photon_number_distribution(s, mode)) == pytest.approx(1.0)

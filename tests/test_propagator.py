@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnes import propagator
 from pnes.errors import NoisyDerivativeError, ValidationError
 from pnes.fock import HamiltonianParams, PureState, TruncationConfig, basis_index, basis_state
 from pnes.meanfield import closed_form
@@ -106,12 +107,13 @@ class TestEvolve:
         assert traj.norm_drift < 1e-8
 
     def test_leakage_monotone(self):
-        # state pressed against the cutoff leaks and the accumulator only grows
+        # |2, 2, 2> sits on both edges of a 3-level box, and chain K = 4 holds only
+        # that cell there, so the state stays wholly on the edge: 1 at every time
         cfg = TruncationConfig(3, 3, 3)
         s0 = basis_state(2, 2, 2, cfg)
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(1.0), dt=0.01, steps=50))
-        assert np.all(np.diff(traj.leakages) >= 0)
-        assert traj.leakage > 0
+        np.testing.assert_allclose(traj.leakages, 1.0, rtol=0, atol=1e-12)
+        assert traj.leakage == np.max(traj.leakages)
 
     def test_too_many_sectors_rejected_before_diagonalizing(self, monkeypatch):
         def no_eigh(*args, **kwargs):
@@ -138,12 +140,62 @@ class TestEvolve:
             evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, **counts))
 
     def test_evolving_a_final_state_again_restarts_leakage(self):
-        # the leakage estimate belongs to a trajectory, not to the state it ends in
+        # the leakage is read from each recorded state, so a second run starts
+        # from the edge probability the first one ended with
         spec = EvolutionSpec(HamiltonianParams(1.0), dt=0.01, steps=50)
         first = evolve(basis_state(2, 2, 2, TruncationConfig(3, 3, 3)), spec)
         assert first.leakage > 0
         second = evolve(first.final_state, spec)
-        assert second.leakages[0] == 0.0
+        assert second.leakages[0] == first.leakages[-1]
+
+    def test_leakage_is_a_probability_whatever_the_step(self):
+        # vacuum pair, alpha 2, chi 1, pair_dim 4 up to t = 5e7: an Euler sum of
+        # dt^2 times the boundary flux read 2.2e14 here after 50 steps of 1e6
+        s0 = initial_state("vacuum", 0.0, 2.0, 0, 4)
+        params = HamiltonianParams(1.0)
+        every = evolve(s0, EvolutionSpec(params, dt=1e6, steps=50))
+        at_end = evolve(s0, EvolutionSpec(params, dt=1e6, steps=50, record_every=50))
+        once = evolve(s0, EvolutionSpec(params, dt=5e7, steps=1))
+        for traj in (every, at_end, once):
+            assert 0.0 <= traj.leakage <= 1.0
+            assert traj.norm_drift < 1e-12
+        assert at_end.leakages[-1] == pytest.approx(once.leakages[-1], abs=1e-12)
+        # phases w t near 1e8 carry rounding near 1e-8, whichever way t is reached
+        assert every.leakages[-1] == pytest.approx(once.leakages[-1], abs=1e-8)
+
+    def test_sparse_records_match_every_step_records(self):
+        s0 = product_state(coherent(1.5, 20), twb(0.3, 14))
+        params = HamiltonianParams(0.2)
+        full = evolve(s0, EvolutionSpec(params, dt=0.05, steps=50))
+        sparse = evolve(s0, EvolutionSpec(params, dt=0.05, steps=50, record_every=7))
+        at = [*range(0, 50, 7), 50]  # the tail record at step 50
+        np.testing.assert_array_equal(sparse.times, full.times[at])
+        for name in ("norms", "leakages"):
+            np.testing.assert_allclose(getattr(sparse, name), getattr(full, name)[at],
+                                       rtol=0, atol=1e-12)
+        for got, want in zip(sparse.observables, [full.observables[k] for k in at]):
+            np.testing.assert_allclose(np.array(got, dtype=complex), np.array(want, dtype=complex),
+                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sparse.final_state.psi, full.final_state.psi,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("record_every, spans", [
+        (10**6, [10**6]), (6 * 10**5, [6 * 10**5, 4 * 10**5]),
+    ])
+    def test_unrecorded_steps_are_never_computed(self, monkeypatch, record_every, spans):
+        calls, chain_stepper = [], propagator._chain_stepper
+
+        def counting(*args):
+            step = chain_stepper(*args)
+            return lambda h: calls.append(h) or step(h)
+
+        monkeypatch.setattr(propagator, "_chain_stepper", counting)
+        s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
+        dt = 1e-6
+        traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=dt, steps=10**6,
+                                        record_every=record_every))
+        assert calls == [k * dt for k in spans]
+        assert len(traj.times) == len(spans) + 1 and traj.times[-1] == 10**6 * dt
 
     def test_recording_cadence(self):
         s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
