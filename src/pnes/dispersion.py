@@ -18,8 +18,9 @@ interaction generator, the truncated C+ and the state constructors.  Each
 point's state is ``states.initial_state`` on ``default_truncation``'s box:
 the family's smallest cutoff plus two pair levels.
 ``exact_rate_fd`` gets the same number independently, by Richardson finite
-differences of short evolutions (``propagator.rate_of``); it is kept as the
-oracle the tests check ``exact_rate`` against, and no report uses it.
+differences (``propagator.rate_of``) of four exact states, at +-h and +-h/2,
+taken from one diagonalization; it is kept as the oracle the tests check
+``exact_rate`` against, and no report uses it.
 """
 
 import math

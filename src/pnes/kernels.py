@@ -22,15 +22,11 @@ Sectors shorter than min(d1, d2) are padded with zeros, so a state with
 every sector occupied costs less than twice the dense (d0, d1, d2) grid.
 ``SectorLayout`` holds the index maps and every weight the kernels and the
 observables use, built once per (shape, sector set) and cached; weights are
-zero on padding and on the box edges.  Its mask ``edge`` marks the edge
-cells, those from which one application of G leaves the box; the propagator
-reports the probability on them (``ExactTrajectory.leakage``).  ``gather``
-and ``scatter`` convert between a dense grid and this layout;
-``fock.PureState`` stores every state on it, and ``states.product_state``
-builds a pump x pair state on it directly.  The propagator folds the chains K = n0 + m into max(d0, M) full
-blocks of min(d0, M) cells (cell (n0, m) goes to block K mod max(d0, M), at
-its index along the shorter of the two axes) and diagonalizes each block
-from the hop weights; ``apply_generator`` serves the equation-of-motion rate.
+zero on padding and on the box edges.  Its mask ``edge`` marks the cells
+from which one application of G leaves the box.  ``gather`` and ``scatter``
+convert between a dense grid and this layout.  ``apply_generator`` (G psi,
+for the equation-of-motion rate) and ``apply_pair_quadrature`` (C+ psi)
+return new sector arrays.
 """
 
 from functools import lru_cache
@@ -109,28 +105,26 @@ def scatter(psi, layout):
     return grid.reshape(layout.shape)
 
 
-def apply_generator(psi, chi, out, layout):
-    """out <- G psi on ``layout``. psi, out: complex (d0, M, J) sector arrays."""
+def apply_generator(psi, chi, layout):
+    """G psi on ``layout``, a new array. psi: complex (d0, M, J) sector array."""
     hop = layout.hop
-    out[-1] = 0.0
-    out[:, 0] = 0.0
+    out = np.zeros_like(psi)
     # a1+ a2+ a0: target (n0, m + 1) fed from (n0 + 1, m)
-    np.multiply(hop, psi[1:, :-1], out=out[:-1, 1:])
+    out[:-1, 1:] = hop * psi[1:, :-1]
     # -a1 a2 a0+: target (n0 + 1, m) fed from (n0, m + 1)
     out[1:, :-1] -= hop * psi[:-1, 1:]
     out *= chi
     return out
 
 
-def apply_pair_quadrature(psi, out, layout):
-    """out <- C+ psi = (A + A+) psi on ``layout``, with A = a1 a2 and A+ its transpose.
+def apply_pair_quadrature(psi, layout):
+    """C+ psi = (A + A+) psi on ``layout``, a new array, with A = a1 a2 and A+ its transpose.
 
     A takes m + 1 to m with weight ``pair_w[m]``, which is zero on padding and on
-    the raise edge, so this is the C+ of the truncated box.  out must not alias psi.
+    the raise edge, so this is the C+ of the truncated box.
     """
     w = layout.pair_w[:-1]
-    np.multiply(w, psi[:, 1:], out=out[:, :-1])
-    out[:, -1] = 0.0
+    out = np.zeros_like(psi)
+    out[:, :-1] = w * psi[:, 1:]
     out[:, 1:] += w * psi[:, :-1]
     return out
-

@@ -92,9 +92,9 @@ def disp_plus_rate(s, chi):
     One G application, no evolution.
     """
     psi, lay = s.psi, s.layout
-    g = kernels.apply_generator(psi, chi, np.empty_like(psi), lay)
-    c_psi = kernels.apply_pair_quadrature(psi, np.empty_like(psi), lay)
-    c_g = kernels.apply_pair_quadrature(g, np.empty_like(psi), lay)
+    g = kernels.apply_generator(psi, chi, lay)
+    c_psi = kernels.apply_pair_quadrature(psi, lay)
+    c_g = kernels.apply_pair_quadrature(g, lay)
     c_plus = np.vdot(psi, c_psi).real
     return float(2.0 * np.vdot(c_g, c_psi).real - 4.0 * c_plus * np.vdot(g, c_psi).real)
 

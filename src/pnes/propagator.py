@@ -20,6 +20,7 @@ only set the output grid, and only the recorded times are computed.  The norm
 is reported, never renormalized; the leakage is stated on ``ExactTrajectory``.
 """
 
+import math
 import sys
 from typing import NamedTuple
 
@@ -45,13 +46,15 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
             raise ValidationError(f"steps must be >= 0, got {steps}")
         if record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {record_every}")
-        # a conservative bound, in float products (inf or nan on overflow): steps |dt|
-        # bounds the recorded times, and every hop weight is below sqrt(MAX_TOTAL_DIM),
-        # so phase_sq bounds half the square of each one-step phase w dt; both, and
-        # steps times phase_sq, must be finite
-        chi, h = float(params.chi), float(dt)
-        phase_sq = h * h * (chi * chi * 2.0 * MAX_TOTAL_DIM)
-        if not (np.isfinite(phase_sq) and steps <= sys.float_info.max / max(abs(h), phase_sq)):
+        # a conservative bound on what the stepper computes, in Python floats (inf or
+        # nan on overflow, never an error): T = steps |dt| is the last recorded time and
+        # the longest span, and every eigenvalue of G is below 2 chi max hop <=
+        # chi 2 sqrt(MAX_TOTAL_DIM) = chi 2^14.  T and chi 2^14 must be finite, and
+        # chi 2^14 T <= 2^52: past 2^52, float64 resolves a phase w t to +-0.5 rad at best
+        chi = float(params.chi)
+        T = float(steps) * abs(float(dt)) if steps <= sys.float_info.max else math.inf
+        rate = chi * 2.0 * MAX_TOTAL_DIM**0.5
+        if not (math.isfinite(T) and math.isfinite(rate) and rate * T <= 2.0**52):
             raise ValidationError(f"dt={dt!r}, steps={steps} and chi={chi!r} exceed the "
                                   "conservative bound on the recorded times and the "
                                   "propagator's phases")
@@ -177,9 +180,9 @@ def rate_of(s0, params, f):
 
     f is a callable on each evolved ``PureState``, e.g.
     ``lambda s: measure(s).disp_plus``.
-    Central differences with steps h and h/2 are combined to fourth order;
-    each side is one exact evolution over +h or -h, with
-    h = 1e-3 / (chi * max(1, |<a0>|, <N>)).
+    Central differences with steps h and h/2 are combined to fourth order,
+    with h = 1e-3 / (chi * max(1, |<a0>|, <N>)).  The four states, at +-h and
+    +-h/2, are exact and come from one diagonalization (``_chain_stepper``).
     Raises NoisyDerivativeError (carrying both estimates) when their error
     estimate |d(h/2) - d(h)| / 3 exceeds 1e-4 * max(1, |rate|).
     """
@@ -187,14 +190,12 @@ def rate_of(s0, params, f):
         return 0.0
     o = measure(s0)
     h = 1e-3 / (params.chi * max(1.0, abs(o.pump_amp), o.total_n))
-
-    def central(step):
-        fp, fm = (f(evolve(s0, EvolutionSpec(params, dt=t, steps=1)).final_state)
-                  for t in (step, -step))
-        return (fp - fm) / (2.0 * step)
-
-    d_h = central(h)
-    d_h2 = central(h / 2.0)
+    step = _chain_stepper(s0.psi, s0.layout, params.chi)
+    # the stepper advances one state: h/2, h, then back to -h/2 and -h
+    f_h2, f_h, f_mh2, f_mh = (f(PureState.from_sectors(step(t), s0.layout))
+                              for t in (h / 2.0, h / 2.0, -1.5 * h, -h / 2.0))
+    d_h = (f_h - f_mh) / (2.0 * h)
+    d_h2 = (f_h2 - f_mh2) / h
     rich = (4.0 * d_h2 - d_h) / 3.0
     err = abs(d_h2 - d_h) / 3.0
     if err > _FD_TOL * max(1.0, abs(rich)):

@@ -722,8 +722,12 @@ def test_coarse_model_grid_refused_before_integrating(tmp_path, capsys, monkeypa
     ("evolve-exact", "chi = 1e160\ndt = 0.1\nsteps = 1\n"),
     ("evolve-exact", "chi = 1e155\ndt = 1e-10\nsteps = 1\n"),
     ("compare", "chi = 1e155\ndt = 1e-10\nt_stop = 1e-10\n"),
+    # a step count above the float range, and a last time whose phase float64 cannot resolve
+    ("evolve-exact", f"chi = 1e-4\ndt = 1e-5\nsteps = {10**312}\nrecord_every = {10**312}\n"),
+    ("evolve-exact", f"chi = 0\ndt = 1e-5\nsteps = {10**312}\nrecord_every = {10**312}\n"),
+    ("evolve-exact", f"chi = 8e-5\ndt = 1\nsteps = {10**308}\nrecord_every = {10**308}\n"),
 ], ids=["time-1e308", "leakage-dt-1e200", "leakage-chi-1e160", "leakage-chi-1e155",
-        "compare-chi-1e155"])
+        "compare-chi-1e155", "steps-1e312", "steps-1e312-chi-0", "phase-1e308"])
 def test_overflowing_times_or_leakage_refused_before_building_a_state(tmp_path, capsys,
                                                                       monkeypatch, command,
                                                                       values):

@@ -16,7 +16,7 @@ def random_grid(shape, seed=0):
 def apply_dense(grid, chi):
     """G applied to a dense grid through the sector kernel."""
     psi, layout = kernels.gather(grid)
-    out = kernels.apply_generator(psi, chi, np.empty_like(psi), layout)
+    out = kernels.apply_generator(psi, chi, layout)
     return kernels.scatter(out, layout)
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnes import propagator
@@ -47,11 +47,20 @@ def _small_box():
 log_uniform = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
 
 
+# a few steps each recorded, or up to 10**320 steps recorded only at the end
+step_counts = st.integers(0, 5) | st.builds(lambda m, e: m * 10**e, st.integers(1, 9),
+                                            st.integers(1, 320))
+
+
 @settings(max_examples=150, deadline=None)
-@given(log_uniform, log_uniform, st.sampled_from([1.0, -1.0]), st.integers(0, 5))
+@given(log_uniform, log_uniform, st.sampled_from([1.0, -1.0]), step_counts)
+# both were refused only through an overflow in the old bound's h * h or chi * chi
+@example(chi=0.0, dt=3.6e272, sign=1.0, steps=5)
+@example(chi=1.2e281, dt=3.8e-317, sign=1.0, steps=1)
 def test_spec_refuses_or_every_record_is_finite(chi, dt, sign, steps):
     try:
-        spec = EvolutionSpec(HamiltonianParams(chi), dt=sign * dt, steps=steps)
+        spec = EvolutionSpec(HamiltonianParams(chi), dt=sign * dt, steps=steps,
+                             record_every=steps if steps > 5 else 1)
     except ValidationError:
         return
     traj = evolve(_small_box(), spec)
@@ -292,3 +301,45 @@ class TestRateOf:
             # the h and h/2 estimates cannot agree
             rate_of(s0, HamiltonianParams(0.5), lambda s: np.cbrt(measure(s).c_plus))
         assert err.value.estimate_h != err.value.estimate_h2
+
+
+def _richardson_from_evolve(s0, params, f):
+    """rate_of's estimate rebuilt from four one-step ``evolve`` calls."""
+    o = measure(s0)
+    h = 1e-3 / (params.chi * max(1.0, abs(o.pump_amp), o.total_n))
+
+    def central(t):
+        fp, fm = (f(evolve(s0, EvolutionSpec(params, dt=u, steps=1)).final_state)
+                  for u in (t, -t))
+        return (fp - fm) / (2.0 * t)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+class TestRateOfOneDiagonalization:
+    @pytest.mark.parametrize("family, param", [("twb", 0.4), ("tmc", 1.0)])
+    @pytest.mark.parametrize("f", [lambda s: measure(s).disp_plus, lambda s: measure(s).total_n],
+                             ids=["disp_plus", "total_n"])
+    def test_matches_four_evolve_calls(self, family, param, f):
+        s0 = initial_state(family, param, 2.0, 0, 20)
+        params = HamiltonianParams(0.1)
+        assert rate_of(s0, params, f) == pytest.approx(_richardson_from_evolve(s0, params, f),
+                                                       rel=1e-10)
+
+    def test_one_stepper_and_no_evolve(self, monkeypatch):
+        steppers, evolves = [], []
+        chain_stepper = propagator._chain_stepper
+
+        def counting_stepper(*args):
+            steppers.append(args)
+            return chain_stepper(*args)
+
+        def counting_evolve(*args):
+            evolves.append(args)
+            return evolve(*args)
+
+        monkeypatch.setattr(propagator, "_chain_stepper", counting_stepper)
+        monkeypatch.setattr(propagator, "evolve", counting_evolve)
+        s0 = initial_state("twb", 0.4, 2.0, 0, 20)
+        rate_of(s0, HamiltonianParams(0.1), lambda s: measure(s).disp_plus)
+        assert len(steppers) == 1 and evolves == []
