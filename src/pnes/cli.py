@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dispersion import DispersionReport, build_report
 from .errors import NumericalError, ValidationError
-from .fock import HamiltonianParams
+from .fock import MAX_ROWS, HamiltonianParams
 from .meanfield import PumpProfile, closed_form_trajectory, integrate_model
 from .propagator import EvolutionSpec, evolve
 from .states import initial_state
@@ -197,9 +197,10 @@ def _build_profile(cfg):
 def cmd_evolve_model(cfg):
     profile = _build_profile(cfg)
     t_start, t_stop, n_points = cfg["t_start"], cfg["t_stop"], cfg["n_points"]
-    if not (math.isfinite(t_stop - t_start) and n_points >= 2):  # also an infinite or nan end
+    if not (math.isfinite(t_stop - t_start) and 2 <= n_points <= MAX_ROWS):  # inf or nan ends too
         raise ValidationError("the time grid needs a finite span t_stop - t_start and n_points >= 2, "
-                              f"got t_start={t_start!r}, t_stop={t_stop!r}, n_points={n_points}")
+                              f"at most {MAX_ROWS}, got t_start={t_start!r}, t_stop={t_stop!r}, "
+                              f"n_points={n_points}")
     grid = np.linspace(t_start, t_stop, n_points)
     ode = integrate_model(profile, cfg["chi"], grid)
     cf = closed_form_trajectory(profile, cfg["chi"], grid)

@@ -4,12 +4,12 @@ The dense exchange format is a complex vector with row-major layout, pump
 index slowest: flat index of |n0, n1, n2> is (n0*d1 + n1)*d2 + n2.  This
 module holds the box and the coupling (immutable NamedTuples whose
 constructors check their fields) and ``PureState``, the one state type,
-which stores only the occupied n1 - n2 sectors of ``kernels``: the dense
-vector is gathered into sectors on the way in and scattered back on each
-read of ``amplitudes``, ``grid()`` or ``probabilities()``.  Truncation is a
-hard cutoff; the propagator reports the probability each recorded state has
-on the box's edge cells (``ExactTrajectory.leakages``), a diagnostic, not a
-bound on the truncation error.
+which stores only the occupied n1 - n2 sectors of ``kernels``.
+``PureState(config, amplitudes)`` is the one way in for a dense vector, and
+``amplitudes`` and ``grid()`` are the way out; no CLI command uses either.
+Truncation is a hard cutoff; the propagator reports the probability each
+recorded state has on the box's edge cells (``ExactTrajectory.leakages``),
+a diagnostic, not a bound on the truncation error.
 """
 
 from typing import NamedTuple
@@ -21,6 +21,7 @@ from .errors import ValidationError
 
 # keep the dense vector comfortably in memory; 2^26 complex128 = 1 GiB
 MAX_TOTAL_DIM = 1 << 26
+MAX_ROWS = 100_000  # the most rows a run may write: recorded times or model grid points
 
 
 class TruncationConfig(NamedTuple("TruncationConfig", [("d0", int), ("d1", int), ("d2", int)])):
@@ -71,8 +72,8 @@ class PureState:
     ``psi`` is the (d0, M, J) sector array and ``layout`` its
     ``kernels.SectorLayout``.  ``PureState(config, amplitudes)`` checks a
     dense vector and gathers it; ``from_sectors`` wraps sectors as they are.
-    ``config`` follows from the layout; ``amplitudes`` (read-only), ``grid()``
-    and ``probabilities()`` scatter a new dense array on each read.
+    ``config`` follows from the layout; ``amplitudes`` (read-only) and
+    ``grid()`` scatter a new dense array on each read.
     """
 
     def __init__(self, config, amplitudes):
@@ -100,9 +101,6 @@ class PureState:
 
     def norm(self):
         return float(np.linalg.norm(self.psi))
-
-    def probabilities(self):
-        return np.abs(self.grid()) ** 2
 
 
 def basis_index(n0, n1, n2, cfg):

@@ -23,10 +23,11 @@ every sector occupied costs less than twice the dense (d0, d1, d2) grid.
 ``SectorLayout`` holds the index maps and every weight the kernels and the
 observables use, built once per (shape, sector set) and cached; weights are
 zero on padding and on the box edges.  Its mask ``edge`` marks the cells
-from which one application of G leaves the box.  ``gather`` and ``scatter``
-convert between a dense grid and this layout.  ``apply_generator`` (G psi,
+from which one application of G leaves the box.  ``apply_generator`` (G psi,
 for the equation-of-motion rate) and ``apply_pair_quadrature`` (C+ psi)
-return new sector arrays.
+return new sector arrays.  ``gather`` and ``scatter`` (dense grid <-> layout)
+serve only ``PureState(config, amplitudes)``, the one way in for a dense
+vector, and ``amplitudes`` and ``grid()``, the way out; no CLI command uses either.
 """
 
 from functools import lru_cache
@@ -80,12 +81,8 @@ def sector_layout(shape, deltas):
 
 def occupied_sectors(grid):
     """Sorted n1 - n2 values of the sectors where the (d0, d1, d2) grid is nonzero."""
-    _, d1, d2 = grid.shape
-    occupied = np.any(grid != 0, axis=0)
-    delta = np.subtract.outer(np.arange(d1), np.arange(d2))
-    # a bincount over the d1 + d2 - 1 values, not np.unique, which imports numpy.ma
-    counts = np.bincount(delta[occupied] + d2 - 1, minlength=d1 + d2 - 1)
-    return tuple((np.flatnonzero(counts) - (d2 - 1)).tolist())
+    delta = np.subtract.outer(np.arange(grid.shape[1]), np.arange(grid.shape[2]))
+    return tuple(np.unique(delta[np.any(grid != 0, axis=0)]).tolist())
 
 
 def gather(grid):

@@ -104,5 +104,5 @@ def photon_number_distribution(s, mode):
     if mode not in (0, 1, 2):
         raise ValidationError(f"mode must be 0, 1 or 2, got {mode!r}")
     axes = tuple(ax for ax in (0, 1, 2) if ax != mode)
-    return np.sum(s.probabilities(), axis=axes)
+    return np.sum(np.abs(s.grid()) ** 2, axis=axes)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoisyDerivativeError, ValidationError
-from .fock import MAX_TOTAL_DIM, HamiltonianParams, PureState
+from .fock import MAX_ROWS, MAX_TOTAL_DIM, HamiltonianParams, PureState
 from .observables import measure
 
 
@@ -46,6 +46,10 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
             raise ValidationError(f"steps must be >= 0, got {steps}")
         if record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {record_every}")
+        rows = -(-steps // record_every) + 1  # t = 0, every record_every-th step, the last
+        if rows > MAX_ROWS:
+            raise ValidationError(f"steps={steps} at record_every={record_every} would record "
+                                  f"{rows} rows, more than the {MAX_ROWS} a run may write")
         # a conservative bound on what the stepper computes, in Python floats (inf or
         # nan on overflow, never an error): T = steps |dt| is the last recorded time and
         # the longest span, and every eigenvalue of G is below 2 chi max hop <=

@@ -1,13 +1,14 @@
 """Initial-state constructors: coherent pump, generic PNES, TWB, TMC.
 
-Pair states live in the signal/idler sector and are returned as PureState
-instances with a trivial pump dimension d0 = 1 (pump in vacuum); use
-``product_state`` to attach a real pump mode; ``initial_state`` builds the
-coherent(alpha) x pair state of every exact run.  ``check_alpha`` and
-``check_param`` are the one check of alpha and of a family's parameter.
-``PAIR_FAMILIES`` states each family's domain and its smallest cutoff, which
-keeps the tail below 1e-12, so state-construction error is negligible against
-every test tolerance; the constructor refuses every smaller cutoff.
+Pair states are PureStates written straight into their n1 = n2 sector, with
+a trivial pump dimension d0 = 1 (pump in vacuum); use ``product_state`` to
+attach a real pump mode; ``initial_state`` builds the coherent(alpha) x pair
+state of every exact run, so no CLI command uses ``PureState(config,
+amplitudes)``, the one way in for a dense vector, or ``amplitudes`` and
+``grid()``, the way out.  ``check_alpha`` and ``check_param`` are the one
+check of alpha and of a family's parameter.  ``PAIR_FAMILIES`` states each
+family's domain and its smallest cutoff, which keeps the tail below 1e-12,
+negligible against every test tolerance; the constructors refuse any smaller.
 """
 
 import math
@@ -92,8 +93,8 @@ def tmc(lam, d):
 def pnes(c, d):
     """Generic photon-number-entangled state with pair-number coefficients c.
 
-    Returns the unit-norm state ~ sum_n c_n |n,n>; everything off the
-    n1 = n2 diagonal is exactly zero.
+    Returns the unit-norm state ~ sum_n c_n |n,n>, written straight into
+    its one n1 - n2 sector, delta = 0; no dense vector is built.
     """
     c = np.asarray(c, dtype=np.complex128).reshape(-1)
     if c.size == 0 or not np.any(c):
@@ -102,11 +103,10 @@ def pnes(c, d):
         raise ValidationError("pnes coefficients must be finite")
     if d < c.size:
         raise ValidationError(f"dimension {d} smaller than coefficient count {c.size}")
-    cfg = TruncationConfig(1, d, d)
-    amps = np.zeros(cfg.dim, dtype=np.complex128)
-    amps[np.arange(c.size) * (d + 1)] = c
-    amps /= np.linalg.norm(amps)
-    return PureState(cfg, amps)
+    layout = kernels.sector_layout(TruncationConfig(1, d, d).shape, (0,))
+    psi = np.zeros((1, d, 1), dtype=np.complex128)
+    psi[0, :c.size, 0] = c / np.linalg.norm(c)
+    return PureState.from_sectors(psi, layout)
 
 
 def min_dimension_twb(x):

@@ -324,7 +324,8 @@ class TestEvolveModel:
         assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "sawtooth" in json.loads(capsys.readouterr().err)["message"]
 
-    @pytest.mark.parametrize("key, value", [("n_points", "-3"), ("t_stop", "inf")])
+    @pytest.mark.parametrize("key, value", [("n_points", "-3"), ("t_stop", "inf"),
+                                            ("n_points", "1000000000000")])
     def test_bad_grid_rejected_before_building_it(self, tmp_path, capsys, key, value):
         text = EVOLVE_MODEL_CFG.replace(f"{key} = ", f"{key} = {value}\n# ")
         cfg = write_cfg(tmp_path / "c.cfg", text)
@@ -612,20 +613,25 @@ def test_oversized_box_rejected_before_building_the_pump(tmp_path, capsys, monke
 
 
 def _forbid_dense_grid(monkeypatch):
-    """Make kernels.scatter, the one way to the dense grid, raise in every pnes module holding it."""
+    """Make kernels.scatter and kernels.gather, the ways to and from the dense grid, raise
+    in every pnes module holding them."""
     def refuse(*args, **kwargs):
-        raise AssertionError("built the dense (d0, d1, d2) grid")
+        raise AssertionError("converted between the dense (d0, d1, d2) grid and the sectors")
 
     for name, module in list(sys.modules.items()):
         if name == "pnes" or name.startswith("pnes."):
-            if hasattr(module, "scatter"):
-                monkeypatch.setattr(module, "scatter", refuse)
+            for attr in ("scatter", "gather"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
 
 
 @pytest.mark.parametrize("command, text", [
     ("evolve-exact", (ROOT / "perfbench" / "configs" / "trajectory.cfg").read_text()),
+    ("evolve-exact", EVOLVE_EXACT_CFG.replace("family = vacuum", "family = tmc\nparam = 0.7")),
     ("compare", COMPARE_CFG),
-], ids=["evolve-exact-trajectory", "compare"])
+    ("dispersion", DISPERSION_CFG),
+    ("scan", SCAN_CFG),
+], ids=["evolve-exact-trajectory", "evolve-exact-tmc", "compare", "dispersion", "scan"])
 def test_exact_path_never_builds_the_dense_grid(tmp_path, monkeypatch, command, text):
     cfg = write_cfg(tmp_path / "c.cfg", text)
     plain, guarded = tmp_path / "plain.csv", tmp_path / "guarded.csv"
@@ -716,29 +722,39 @@ def test_coarse_model_grid_refused_before_integrating(tmp_path, capsys, monkeypa
     assert "RK4 substeps" in record["message"] and "add grid points" in record["message"]
 
 
-@pytest.mark.parametrize("command, values", [
-    ("evolve-exact", "chi = 0.1\ndt = 1e308\nsteps = 3\n"),
-    ("evolve-exact", "chi = 0.1\ndt = 1e200\nsteps = 1\n"),
-    ("evolve-exact", "chi = 1e160\ndt = 0.1\nsteps = 1\n"),
-    ("evolve-exact", "chi = 1e155\ndt = 1e-10\nsteps = 1\n"),
-    ("compare", "chi = 1e155\ndt = 1e-10\nt_stop = 1e-10\n"),
+PHASES = "conservative bound on the recorded times and the propagator's phases"
+ROWS = "rows, more than the 100000 a run may write"
+
+
+@pytest.mark.parametrize("command, values, match", [
+    ("evolve-exact", "chi = 0.1\ndt = 1e308\nsteps = 3\n", PHASES),
+    ("evolve-exact", "chi = 0.1\ndt = 1e200\nsteps = 1\n", PHASES),
+    ("evolve-exact", "chi = 1e160\ndt = 0.1\nsteps = 1\n", PHASES),
+    ("evolve-exact", "chi = 1e155\ndt = 1e-10\nsteps = 1\n", PHASES),
+    ("compare", "chi = 1e155\ndt = 1e-10\nt_stop = 1e-10\n", PHASES),
     # a step count above the float range, and a last time whose phase float64 cannot resolve
-    ("evolve-exact", f"chi = 1e-4\ndt = 1e-5\nsteps = {10**312}\nrecord_every = {10**312}\n"),
-    ("evolve-exact", f"chi = 0\ndt = 1e-5\nsteps = {10**312}\nrecord_every = {10**312}\n"),
-    ("evolve-exact", f"chi = 8e-5\ndt = 1\nsteps = {10**308}\nrecord_every = {10**308}\n"),
+    ("evolve-exact", f"chi = 1e-4\ndt = 1e-5\nsteps = {10**312}\nrecord_every = {10**312}\n",
+     PHASES),
+    ("evolve-exact", f"chi = 0\ndt = 1e-5\nsteps = {10**312}\nrecord_every = {10**312}\n",
+     PHASES),
+    ("evolve-exact", f"chi = 8e-5\ndt = 1\nsteps = {10**308}\nrecord_every = {10**308}\n",
+     PHASES),
+    # a tiny dt keeps the span short, but every step is a row
+    ("evolve-exact", "chi = 0.1\ndt = 1e-300\nsteps = 100000\n", ROWS),
+    ("evolve-exact", f"chi = 0.1\ndt = 1e-300\nsteps = {10**9}\n", ROWS),
 ], ids=["time-1e308", "leakage-dt-1e200", "leakage-chi-1e160", "leakage-chi-1e155",
-        "compare-chi-1e155", "steps-1e312", "steps-1e312-chi-0", "phase-1e308"])
+        "compare-chi-1e155", "steps-1e312", "steps-1e312-chi-0", "phase-1e308",
+        "rows-1e5", "rows-1e9"])
 def test_overflowing_times_or_leakage_refused_before_building_a_state(tmp_path, capsys,
                                                                       monkeypatch, command,
-                                                                      values):
+                                                                      values, match):
     def refuse(*args, **kwargs):
         raise AssertionError("built the initial state")
 
     monkeypatch.setattr(pnes.cli, "_build_exact_state", refuse)
     record = refused(tmp_path, capsys, command, "alpha = 1\npair_dim = 4\n" + values)
     assert record["error"] == "ValidationError"
-    assert ("conservative bound on the recorded times and the propagator's phases"
-            in record["message"])
+    assert match in record["message"]
 
 
 class TestExitCodes:

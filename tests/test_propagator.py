@@ -38,6 +38,20 @@ class TestEvolutionSpec:
         with pytest.raises(ValidationError):
             EvolutionSpec(HamiltonianParams(1.0), dt=0.1, steps=-1)
 
+    # rows: t = 0, every record_every-th step and the last
+    @pytest.mark.parametrize("steps, record_every", [(99_999, 1), (199_997, 2),
+                                                     (99_999 * 10**300, 10**300)],
+                             ids=["every-step", "every-2nd", "every-1e300th"])
+    def test_accepts_100000_rows(self, steps, record_every):
+        EvolutionSpec(HamiltonianParams(0.1), dt=1e-300, steps=steps, record_every=record_every)
+
+    @pytest.mark.parametrize("steps, record_every", [(100_000, 1), (199_999, 2),
+                                                     (100_000 * 10**300, 10**300)],
+                             ids=["every-step", "every-2nd", "every-1e300th"])
+    def test_refuses_100001_rows(self, steps, record_every):
+        with pytest.raises(ValidationError, match="would record 100001 rows, more than the 100000"):
+            EvolutionSpec(HamiltonianParams(0.1), dt=1e-300, steps=steps, record_every=record_every)
+
 
 @functools.cache
 def _small_box():

@@ -191,6 +191,17 @@ class TestPnes:
         with pytest.raises(ValidationError, match=match):
             pnes(c, d)
 
+    @pytest.mark.parametrize("c, d", [([1.0], 4), ([1.0, 2.0j, 0.5], 6),
+                                      (0.6 ** np.arange(29), 29)], ids=["vacuum", "short", "twb"])
+    def test_is_the_gathered_diagonal_grid(self, c, d):
+        grid = np.zeros((1, d, d), dtype=np.complex128)
+        grid[0, np.arange(len(c)), np.arange(len(c))] = c
+        grid /= np.linalg.norm(grid)
+        want, want_layout = kernels.gather(grid)
+        s = pnes(c, d)
+        assert s.layout is want_layout
+        np.testing.assert_allclose(s.psi, want, rtol=0, atol=2e-16)
+
     def test_diagonal_support(self):
         s = pnes([1.0, 2.0, 0.5], 6)
         g = s.grid()[0]
