@@ -183,8 +183,9 @@ def cmd_evolve_exact(cfg):
         "disp_plus", "disp_minus", "conserved_k", "norm", "leakage",
     ]
     obs = [[o.pair_amp.real, o.pair_amp.imag, o.total_n, o.diff_n, o.pump_quad,
-            o.disp_plus, o.disp_minus, o.conserved_k] for o in traj.observables]
-    rows = np.column_stack((traj.times, obs, traj.norms, traj.leakages)).tolist()
+            o.disp_plus, o.disp_minus, o.conserved_k, o.norm, o.leakage]
+           for o in traj.observables]
+    rows = np.column_stack((traj.times, obs)).tolist()
     return columns, rows, 0
 
 

@@ -7,9 +7,9 @@ constructors check their fields) and ``PureState``, the one state type,
 which stores only the occupied n1 - n2 sectors of ``kernels``.
 ``PureState(config, amplitudes)`` is the one way in for a dense vector, and
 ``amplitudes`` and ``grid()`` are the way out; no CLI command uses either.
-Truncation is a hard cutoff; the propagator reports the probability each
-recorded state has on the box's edge cells (``ExactTrajectory.leakages``),
-a diagnostic, not a bound on the truncation error.
+Truncation is a hard cutoff; ``observables.measure`` reads the probability
+a state has on the box's edge cells (``measure(s).leakage``), a diagnostic,
+not a bound on the truncation error.
 """
 
 from typing import NamedTuple
@@ -98,9 +98,6 @@ class PureState:
 
     def grid(self):
         return kernels.scatter(self.psi, self.layout)
-
-    def norm(self):
-        return float(np.linalg.norm(self.psi))
 
 
 def basis_index(n0, n1, n2, cfg):

@@ -11,9 +11,11 @@ cost follows the occupied n1 - n2 sectors, not the dense grid:
     Q   = a0 + a0+         pump quadrature
     K   = n0 + (n1+n2)/2   conserved total excitation
 
-``measure`` is the one moment pass: it computes every moment of a state
-together and returns them as an ``ObservableSet``, a NamedTuple; read one
-moment as ``measure(s).<field>``.  ``expect_pair_amplitude`` and
+``measure`` is the one reader of a state: from |psi|^2 it computes every
+moment together with the norm and the leakage, the probability on the edge
+cells (``SectorLayout.edge``) from which one application of G leaves the
+box, and returns them as an ``ObservableSet``, a NamedTuple; read one as
+``measure(s).<field>``.  ``expect_pair_amplitude`` and
 ``expect_total_number`` read the two fields the model compares against.
 A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1) and n1 n2), so
 the dispersions never need a materialized operator and stay exact at the
@@ -30,7 +32,7 @@ from .errors import ValidationError
 
 
 class ObservableSet(NamedTuple):
-    """One snapshot of every observable the analysis uses."""
+    """One snapshot of every observable the analysis uses, then the norm and the leakage."""
 
     pair_amp: complex
     pair_amp_conj: complex
@@ -42,10 +44,12 @@ class ObservableSet(NamedTuple):
     disp_plus: float
     disp_minus: float
     conserved_k: float
+    norm: float
+    leakage: float
 
 
 def measure(s):
-    """All observables of one state, computed together on the sector layout.
+    """All observables of one state, its norm and its leakage, from one |psi|^2.
 
     A A+ and A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the
     A A+ weight is zeroed on the raise boundary so the dispersions agree
@@ -53,6 +57,7 @@ def measure(s):
     """
     psi, lay = s.psi, s.layout
     p = psi.real**2 + psi.imag**2
+    p_pump = p.sum(axis=(1, 2))
     p_pair = p.sum(axis=0)
     total_n = float(np.sum(lay.nsum * p_pair))
     pair = complex(np.vdot(psi[:, :-1], lay.pair_w[:-1] * psi[:, 1:]))  # <A>
@@ -70,7 +75,9 @@ def measure(s):
         c_plus=2.0 * pair.real,
         disp_plus=2.0 * pair2.real + ada + aad - (2.0 * pair.real) ** 2,
         disp_minus=ada + aad - 2.0 * pair2.real - (2.0 * pair.imag) ** 2,
-        conserved_k=float(np.dot(lay.n0, p.sum(axis=(1, 2)))) + 0.5 * total_n,
+        conserved_k=float(np.dot(lay.n0, p_pump)) + 0.5 * total_n,
+        norm=float(np.sqrt(p_pump.sum())),
+        leakage=float(p[lay.edge].sum()),
     )
 
 

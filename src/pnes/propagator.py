@@ -17,7 +17,8 @@ block's G is one L x L tridiagonal matrix D (-i S) D^-1 with D = diag(i^c) and
 S real symmetric.  One ``np.linalg.eigh`` per block, S = V diag(w) V^T, gives
 the exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps``
 only set the output grid, and only the recorded times are computed.  The norm
-is reported, never renormalized; the leakage is stated on ``ExactTrajectory``.
+is reported, never renormalized; ``measure`` reads it and the leakage of each
+recorded state, and ``ExactTrajectory`` states their extremes.
 """
 
 import math
@@ -66,17 +67,16 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
 
 
 class ExactTrajectory(NamedTuple):
-    """What ``evolve`` records, ending in ``final_state``.  ``leakages[k]`` is
-    the probability at ``times[k]`` on the edge cells (``SectorLayout.edge``),
-    from which one application of G leaves the box; ``leakage`` is the largest
-    and ``norm_drift`` the largest |norm^2 - 1|.  It lies in [0, 1] and does
+    """What ``evolve`` records, ending in ``final_state``: ``observables[k]`` is
+    ``measure`` of the state at ``times[k]``, its norm and its leakage (the
+    probability on the edge cells from which one application of G leaves the
+    box) included.  ``leakage`` is the largest leakage and ``norm_drift`` the
+    largest |norm^2 - 1| over the records.  The leakage lies in [0, 1] and does
     not depend on ``dt``, but it is a diagnostic, not a bound on the truncation
     error: it misses probability that crosses the edge between two records."""
 
     times: np.ndarray
     observables: list
-    norms: np.ndarray
-    leakages: np.ndarray
     final_state: PureState
     norm_drift: float
     leakage: float
@@ -148,31 +148,21 @@ def evolve(s0, spec):
     """
     psi, layout = s0.psi, s0.layout
     step = _chain_stepper(psi, layout, spec.params.chi)
-    times, obs, norms, leakages = [], [], [], []
-
-    def record(t, psi):
-        times.append(t)
-        obs.append(measure(PureState.from_sectors(psi, layout)))
-        norms.append(float(np.linalg.norm(psi)))
-        leakages.append(float(np.sum(np.abs(psi[layout.edge]) ** 2)))
-
-    record(0.0, psi)
+    times, obs = [0.0], [measure(s0)]
     r, k0 = spec.record_every, 0
     for k in range(r, spec.steps + r, r):
         k = min(k, spec.steps)
         psi = step((k - k0) * spec.dt)
-        record(k * spec.dt, psi)
+        times.append(k * spec.dt)
+        obs.append(measure(PureState.from_sectors(psi, layout)))
         k0 = k
 
-    norms = np.asarray(norms)
     return ExactTrajectory(
         times=np.asarray(times),
         observables=obs,
-        norms=norms,
-        leakages=np.asarray(leakages),
         final_state=PureState.from_sectors(psi.copy() if spec.steps == 0 else psi, layout),
-        norm_drift=float(np.max(np.abs(norms**2 - 1.0))),
-        leakage=max(leakages),
+        norm_drift=max(abs(o.norm**2 - 1.0) for o in obs),
+        leakage=max(o.leakage for o in obs),
     )
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import pnes
-from pnes import EvolutionSpec, HamiltonianParams, PumpProfile, TruncationConfig
+from pnes import (EvolutionSpec, ExactTrajectory, HamiltonianParams, ObservableSet, PumpProfile,
+                  TruncationConfig)
 from pnes.errors import ValidationError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,6 +58,18 @@ def test_readme_entry_points_are_public():
     names = re.findall(r"\w+", names)
     assert names
     assert [name for name in names if name not in pnes.__all__] == []
+
+
+def test_record_types_are_pinned():
+    # measure reads the norm and the leakage with the moments; a trajectory keeps
+    # only their extremes beside the records
+    assert ExactTrajectory._fields == ("times", "observables", "final_state", "norm_drift",
+                                       "leakage")
+    assert ObservableSet._fields == (
+        "pair_amp", "pair_amp_conj", "total_n", "diff_n", "pump_amp", "pump_quad", "c_plus",
+        "disp_plus", "disp_minus", "conserved_k", "norm", "leakage",
+    )
+    assert not hasattr(pnes.PureState, "norm")
 
 
 def test_truncation_config_has_value_equality_and_hash():

@@ -60,7 +60,7 @@ class TestPureState:
         amps[7] = 0.0
         s.grid()[...] = 0.0
         s.amplitudes[...] = 0.0
-        assert s.norm() == 1.0
+        assert np.linalg.norm(s.psi) == 1.0
         assert s.amplitudes[7] == 1.0
 
 

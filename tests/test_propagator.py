@@ -78,8 +78,8 @@ def test_spec_refuses_or_every_record_is_finite(chi, dt, sign, steps):
     except ValidationError:
         return
     traj = evolve(_small_box(), spec)
-    for column in (traj.times, traj.norms, traj.leakages):
-        assert np.all(np.isfinite(column))
+    assert np.all(np.isfinite(traj.times))
+    assert np.all(np.isfinite([(o.norm, o.leakage) for o in traj.observables]))
 
 
 class TestEvolve:
@@ -135,8 +135,9 @@ class TestEvolve:
         cfg = TruncationConfig(3, 3, 3)
         s0 = basis_state(2, 2, 2, cfg)
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(1.0), dt=0.01, steps=50))
-        np.testing.assert_allclose(traj.leakages, 1.0, rtol=0, atol=1e-12)
-        assert traj.leakage == np.max(traj.leakages)
+        leakages = [o.leakage for o in traj.observables]
+        np.testing.assert_allclose(leakages, 1.0, rtol=0, atol=1e-12)
+        assert traj.leakage == np.max(leakages)
 
     def test_too_many_sectors_rejected_before_diagonalizing(self, monkeypatch):
         def no_eigh(*args, **kwargs):
@@ -169,7 +170,7 @@ class TestEvolve:
         first = evolve(basis_state(2, 2, 2, TruncationConfig(3, 3, 3)), spec)
         assert first.leakage > 0
         second = evolve(first.final_state, spec)
-        assert second.leakages[0] == first.leakages[-1]
+        assert second.observables[0].leakage == first.observables[-1].leakage
 
     def test_leakage_is_a_probability_whatever_the_step(self):
         # vacuum pair, alpha 2, chi 1, pair_dim 4 up to t = 5e7: an Euler sum of
@@ -182,9 +183,20 @@ class TestEvolve:
         for traj in (every, at_end, once):
             assert 0.0 <= traj.leakage <= 1.0
             assert traj.norm_drift < 1e-12
-        assert at_end.leakages[-1] == pytest.approx(once.leakages[-1], abs=1e-12)
+        assert at_end.observables[-1].leakage == pytest.approx(once.observables[-1].leakage,
+                                                               abs=1e-12)
         # phases w t near 1e8 carry rounding near 1e-8, whichever way t is reached
-        assert every.leakages[-1] == pytest.approx(once.leakages[-1], abs=1e-8)
+        assert every.observables[-1].leakage == pytest.approx(once.observables[-1].leakage,
+                                                              abs=1e-8)
+
+    def test_extremes_are_those_of_the_records(self):
+        # vacuum pair on four levels: probability reaches the pair edge and leaves it
+        s0 = initial_state("vacuum", 0.0, 2.0, 0, 4)
+        traj = evolve(s0, EvolutionSpec(HamiltonianParams(1.0), dt=0.1, steps=30))
+        leakages = [o.leakage for o in traj.observables]
+        assert len(set(leakages)) > 1
+        assert traj.leakage == max(leakages)
+        assert traj.norm_drift == max(abs(o.norm**2 - 1) for o in traj.observables)
 
     def test_sparse_records_match_every_step_records(self):
         s0 = product_state(coherent(1.5, 20), twb(0.3, 14))
@@ -193,8 +205,9 @@ class TestEvolve:
         sparse = evolve(s0, EvolutionSpec(params, dt=0.05, steps=50, record_every=7))
         at = [*range(0, 50, 7), 50]  # the tail record at step 50
         np.testing.assert_array_equal(sparse.times, full.times[at])
-        for name in ("norms", "leakages"):
-            np.testing.assert_allclose(getattr(sparse, name), getattr(full, name)[at],
+        for name in ("norm", "leakage"):
+            np.testing.assert_allclose([getattr(o, name) for o in sparse.observables],
+                                       [getattr(full.observables[k], name) for k in at],
                                        rtol=0, atol=1e-12)
         for got, want in zip(sparse.observables, [full.observables[k] for k in at]):
             np.testing.assert_allclose(np.array(got, dtype=complex), np.array(want, dtype=complex),
@@ -279,7 +292,8 @@ class TestFoldedBlocks:
                                    from_state.final_state.amplitudes, rtol=0, atol=1e-14)
         assert from_sectors.final_state.config == from_state.final_state.config
         assert from_sectors.leakage == pytest.approx(from_state.leakage, rel=1e-12)
-        np.testing.assert_allclose(from_sectors.norms, from_state.norms, rtol=0, atol=1e-14)
+        np.testing.assert_allclose([o.norm for o in from_sectors.observables],
+                                   [o.norm for o in from_state.observables], rtol=0, atol=1e-14)
 
 
 class TestRateOf:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pnes import kernels
 from pnes.fock import HamiltonianParams, PureState, TruncationConfig
-from pnes.observables import disp_plus_rate
+from pnes.observables import disp_plus_rate, measure
 from pnes.propagator import EvolutionSpec, evolve
 
 from oracle import dense_generator, dense_ops
@@ -70,6 +70,23 @@ def test_sector_pair_quadrature_matches_dense(state):
     out = kernels.apply_pair_quadrature(psi, layout)
     want = dense_ops(grid.shape)["C_plus"] @ grid.reshape(-1)
     np.testing.assert_allclose(kernels.scatter(out, layout).reshape(-1), want, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector_states(min_sectors=1), st.floats(0.25, 2.0))
+def test_measure_norm_and_leakage_match_dense(state, scale):
+    grid, _ = state
+    grid = scale * grid
+    s = PureState(TruncationConfig(*grid.shape), grid.reshape(-1))
+    # the edge cells, as G on a box one level larger maps them out of the box
+    big = tuple(d + 1 for d in grid.shape)
+    inside = np.zeros(big, dtype=bool)
+    inside[: grid.shape[0], : grid.shape[1], : grid.shape[2]] = True
+    leaves = np.any(dense_generator(big, 1.0)[~inside.reshape(-1)] != 0, axis=0)
+    edge = leaves.reshape(big)[inside].reshape(grid.shape)
+    o = measure(s)
+    assert abs(o.norm - np.linalg.norm(grid)) <= 1e-14
+    assert abs(o.leakage - np.sum(np.abs(grid[edge]) ** 2)) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)

@@ -221,7 +221,7 @@ class TestProductState:
 
     def test_unit_norm(self):
         s = product_state(coherent(2.0, 30), tmc(1.0, 20))
-        assert s.norm() == pytest.approx(1.0)
+        assert measure(s).norm == pytest.approx(1.0)
 
     def test_rejects_nontrivial_pump_in_pair(self):
         s = product_state(coherent(1.0, 10), twb(0.3, 15))
