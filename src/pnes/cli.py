@@ -89,7 +89,7 @@ def read_config_file(path):
     raw = {}
     problems = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config file {path} is not UTF-8: {exc}") from None

@@ -3,9 +3,9 @@
 For a coherent pump of amplitude alpha and a pair state of the TWB or TMC
 family, four values of dD_{C+}/dt at t = 0 are assembled per point:
 
-  rate_exact        the full quantum rate from the equation of motion
-                    psi' = G psi (``observables.disp_plus_rate``): one
-                    application of the generator, no time evolution
+  rate_exact        the full quantum rate, 2 chi (Re<C+ K Q> - <C+><K Q>)
+                    with K = [A, A+] and Q = a0 + a0+, a moment of the
+                    state (``observables.disp_plus_rate``), no time evolution
   rate_analytic_exact  closed form: 8 chi alpha x(1+x^2)/(1-x^2)^2 for TWB,
                     8 chi lambda alpha for TMC
   rate_analytic_model  model side: same expression for TWB, 4 chi lambda alpha
@@ -13,8 +13,8 @@ family, four values of dD_{C+}/dt at t = 0 are assembled per point:
   rate_diag_simple  the literal 2 chi <Q><C+> product, kept as a diagnostic
                     only: it reproduces the TMC value but not the TWB one
 
-Ground truth is the equation-of-motion rate; it depends only on the
-interaction generator, the truncated C+ and the state constructors.  Each
+Ground truth is rate_exact; it depends only on the commutator
+[C+, G] = chi K Q of the truncated operators and the state constructors.  Each
 point's state is ``states.initial_state`` on ``default_truncation``'s box:
 the family's smallest cutoff plus two pair levels.
 ``exact_rate_fd`` gets the same number independently, by Richardson finite
@@ -101,7 +101,7 @@ def _make_state(family, param, alpha):
 
 
 def exact_rate(family, param, chi, alpha):
-    """dD_{C+}/dt at t=0 on coherent(alpha) x family(param), from the equation of motion."""
+    """dD_{C+}/dt at t=0 on coherent(alpha) x family(param), from the commutator [C+, G]."""
     _check_point(family, param, chi, alpha)
     return disp_plus_rate(_make_state(family, param, alpha), chi)
 

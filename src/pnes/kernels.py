@@ -1,4 +1,4 @@
-"""Kernels of the trilinear interaction generator, on the sector layout.
+"""The sector layout of the trilinear interaction generator, and its dense maps.
 
 The generator in the resonant rotating frame is
 
@@ -20,12 +20,12 @@ holding the J occupied sectors (a sector is occupied when any of its
 amplitudes is nonzero; G never couples sectors, so the others stay zero).
 Sectors shorter than min(d1, d2) are padded with zeros, so a state with
 every sector occupied costs less than twice the dense (d0, d1, d2) grid.
-``SectorLayout`` holds the index maps and every weight the kernels and the
-observables use, built once per (shape, sector set) and cached; weights are
-zero on padding and on the box edges.  Its mask ``edge`` marks the cells
-from which one application of G leaves the box.  ``apply_generator`` (G psi,
-for the equation-of-motion rate) and ``apply_pair_quadrature`` (C+ psi)
-return new sector arrays.  ``gather`` and ``scatter`` (dense grid <-> layout)
+``SectorLayout`` holds the index maps and the ladder weights the observables
+and the propagator use, built once per (shape, sector set) and cached;
+weights are zero on padding and on the box edges.  G's hop weights are
+``pump_w * pair_w``, formed only where the propagator fills its blocks.  The
+mask ``edge`` marks the cells from which one application of G leaves the box.
+No operator is applied here.  ``gather`` and ``scatter`` (dense grid <-> layout)
 serve only ``PureState(config, amplitudes)``, the one way in for a dense
 vector, and ``amplitudes`` and ``grid()``, the way out; no CLI command uses either.
 """
@@ -62,8 +62,6 @@ class SectorLayout:
         self.pair_w = np.sqrt(self.raise_w)
         self.pair2_w = self.pair_w[:-2] * self.pair_w[1:-1]
         self.pump_w = np.sqrt(self.n0[1:])[:, None, None]
-        # G hops between (n0 + 1, m) and (n0, m + 1)
-        self.hop = self.pump_w * self.pair_w[None, :-1, :]
         # the cells G maps out of the box: a1 a2 a0+ from the pump edge n0 = d0 - 1
         # with n1 n2 > 0, a1+ a2+ a0 from each sector's last pair level with n0 > 0
         n0 = np.arange(d0)[:, None, None]
@@ -101,27 +99,3 @@ def scatter(psi, layout):
     grid[:, layout.index[layout.valid]] = psi[:, layout.valid]
     return grid.reshape(layout.shape)
 
-
-def apply_generator(psi, chi, layout):
-    """G psi on ``layout``, a new array. psi: complex (d0, M, J) sector array."""
-    hop = layout.hop
-    out = np.zeros_like(psi)
-    # a1+ a2+ a0: target (n0, m + 1) fed from (n0 + 1, m)
-    out[:-1, 1:] = hop * psi[1:, :-1]
-    # -a1 a2 a0+: target (n0 + 1, m) fed from (n0, m + 1)
-    out[1:, :-1] -= hop * psi[:-1, 1:]
-    out *= chi
-    return out
-
-
-def apply_pair_quadrature(psi, layout):
-    """C+ psi = (A + A+) psi on ``layout``, a new array, with A = a1 a2 and A+ its transpose.
-
-    A takes m + 1 to m with weight ``pair_w[m]``, which is zero on padding and on
-    the raise edge, so this is the C+ of the truncated box.
-    """
-    w = layout.pair_w[:-1]
-    out = np.zeros_like(psi)
-    out[:, :-1] = w * psi[:, 1:]
-    out[:, 1:] += w * psi[:, :-1]
-    return out

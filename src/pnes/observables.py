@@ -19,15 +19,15 @@ box, and returns them as an ``ObservableSet``, a NamedTuple; read one as
 ``expect_total_number`` read the two fields the model compares against.
 A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1) and n1 n2), so
 the dispersions never need a materialized operator and stay exact at the
-cutoff edge.  ``disp_plus_rate`` gives dD_{C+}/dt from the equation of
-motion, with one application of the generator.
+cutoff edge.  ``disp_plus_rate`` gives dD_{C+}/dt at t = 0 in closed form,
+as a moment of the state: the commutator [C+, G] is the pump quadrature
+times the diagonal [A, A+], so G itself is never applied.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .errors import ValidationError
 
 
@@ -91,19 +91,24 @@ def expect_total_number(s):
 
 
 def disp_plus_rate(s, chi):
-    """dD_{C+}/dt of s under G = chi (a1+ a2+ a0 - a1 a2 a0+), from psi' = G psi.
+    """dD_{C+}/dt of s under G = chi (a1+ a2+ a0 - a1 a2 a0+), a moment of the state.
 
-    The Heisenberg equation of motion gives
-    dD/dt = 2 Re<G psi|C+^2 psi> - 4 <C+> Re<G psi|C+ psi>; C+ is real
-    symmetric, so <g|C+^2 psi> = <C+ g|C+ psi> and C+^2 is never formed.
-    One G application, no evolution.
+    a0 commutes with A and A+, so [C+, G] = chi K Q with K = [A, A+] and
+    Q = a0 + a0+.  This holds exactly in the truncated box, where K is the
+    diagonal A A+ - A+ A with the weights ``raise_w - n1n2`` that ``measure``
+    uses.  As G is antisymmetric, d<X>/dt = <[X, G]>, so
+    dD/dt = 2 chi (Re<psi|C+ K Q psi> - <C+> Re<psi|K Q psi>).
+    One array phi = K Q psi; <psi|C+ phi> is read as two shifted products.
     """
     psi, lay = s.psi, s.layout
-    g = kernels.apply_generator(psi, chi, lay)
-    c_psi = kernels.apply_pair_quadrature(psi, lay)
-    c_g = kernels.apply_pair_quadrature(g, lay)
-    c_plus = np.vdot(psi, c_psi).real
-    return float(2.0 * np.vdot(c_g, c_psi).real - 4.0 * c_plus * np.vdot(g, c_psi).real)
+    w = lay.pair_w[:-1]
+    phi = np.zeros_like(psi)
+    np.multiply(lay.pump_w, psi[1:], out=phi[:-1])  # a0 psi
+    phi[1:] += lay.pump_w * psi[:-1]  # a0+ psi
+    phi *= lay.raise_w - lay.n1n2
+    c_plus = 2.0 * np.vdot(psi[:, :-1], w * psi[:, 1:]).real
+    c_phi = np.vdot(psi[:, :-1], w * phi[:, 1:]) + np.vdot(psi[:, 1:], w * phi[:, :-1])
+    return float(2.0 * chi * (c_phi.real - c_plus * np.vdot(psi, phi).real))
 
 
 def photon_number_distribution(s, mode):

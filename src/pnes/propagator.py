@@ -8,7 +8,8 @@ with the interaction).
 G conserves n1 - n2, so ``evolve`` works on the occupied sectors a
 ``PureState`` holds, psi[n0, m, j] (see ``kernels``).  There G only hops
 (n0 + 1, m) <-> (n0, m + 1): each chain K = n0 + m evolves alone under a real
-antisymmetric tridiagonal matrix with off-diagonal chi * hop[K - m - 1, m, j].
+antisymmetric tridiagonal matrix with off-diagonal chi * hop[K - m - 1, m, j],
+where hop = pump_w * pair_w, formed in ``_chain_stepper`` and nowhere else.
 The chains are folded into P = max(d0, M) blocks of L = min(d0, M) cells: cell
 (n0, m) goes to block K mod P, at its index along the shorter of the n0 and m
 axes.  A block holds chain b, or chains b and b + P with no hop where they
@@ -109,12 +110,13 @@ def _chain_stepper(psi, layout, chi):
     block = (n0 + m) % P
     pos = np.broadcast_to(m if d0 >= M else n0, block.shape)
     p, q = pos[1:, :-1], pos[:-1, 1:]
+    hop = layout.pump_w * layout.pair_w[None, :-1, :]  # G's weight between p and q
     # eigh reads only the lower triangle
     V = np.zeros((P, J, L, L))
     if d0 >= M:
-        V[block[1:, :-1], :, q, p] = chi * layout.hop
+        V[block[1:, :-1], :, q, p] = chi * hop
     else:
-        V[block[1:, :-1], :, p, q] = -chi * layout.hop
+        V[block[1:, :-1], :, p, q] = -chi * hop
     w = np.empty((P, J, L))
     for b in range(P):
         w[b], V[b] = np.linalg.eigh(V[b])

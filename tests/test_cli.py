@@ -121,6 +121,16 @@ class TestConfigParsing:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError"
         assert captured.out == ""
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        text = DISPERSION_CFG.lstrip()  # the mark sits right before the first key
+        plain = write_cfg(tmp_path / "plain.cfg", text)
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_config_file(str(bom)) == read_config_file(plain)
+        for name, cfg in (("plain", plain), ("bom", str(bom))):
+            assert main(["dispersion", "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
 
 class TestEvolveExact:
     def test_conservation_columns(self, tmp_path):

@@ -13,24 +13,6 @@ def random_grid(shape, seed=0):
     return g / np.linalg.norm(g)
 
 
-def apply_dense(grid, chi):
-    """G applied to a dense grid through the sector kernel."""
-    psi, layout = kernels.gather(grid)
-    out = kernels.apply_generator(psi, chi, layout)
-    return kernels.scatter(out, layout)
-
-
-def test_generator_is_antisymmetric_matrix():
-    shape = (3, 4, 4)
-    dim = np.prod(shape)
-    mat = np.zeros((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[j] = 1.0
-        mat[:, j] = apply_dense(e.reshape(shape), 1.0).reshape(-1).real
-    np.testing.assert_allclose(mat, -mat.T, atol=1e-14)
-
-
 @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 5, 4), (5, 2, 3), (1, 3, 3)],
                          ids=["cube", "d1>d2", "d0>M", "d0=1"])
 def test_edge_cells_are_those_g_maps_out_of_the_box(shape):

@@ -1,6 +1,7 @@
 """Property tests of the sector layout against the dense-matrix oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,26 +54,6 @@ def test_gather_then_scatter_is_identity(state):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sector_states(), st.floats(0.0, 2.0))
-def test_sector_generator_matches_dense(state, chi):
-    grid, _ = state
-    psi, layout = kernels.gather(grid)
-    out = kernels.apply_generator(psi, chi, layout)
-    want = dense_generator(grid.shape, chi) @ grid.reshape(-1)
-    np.testing.assert_allclose(kernels.scatter(out, layout).reshape(-1), want, rtol=0, atol=1e-13)
-
-
-@settings(max_examples=60, deadline=None)
-@given(sector_states())
-def test_sector_pair_quadrature_matches_dense(state):
-    grid, _ = state
-    psi, layout = kernels.gather(grid)
-    out = kernels.apply_pair_quadrature(psi, layout)
-    want = dense_ops(grid.shape)["C_plus"] @ grid.reshape(-1)
-    np.testing.assert_allclose(kernels.scatter(out, layout).reshape(-1), want, rtol=0, atol=1e-13)
-
-
-@settings(max_examples=60, deadline=None)
 @given(sector_states(min_sectors=1), st.floats(0.25, 2.0))
 def test_measure_norm_and_leakage_match_dense(state, scale):
     grid, _ = state
@@ -100,6 +81,23 @@ def test_disp_plus_rate_matches_dense_equation_of_motion(state, chi):
     want = 2 * np.vdot(gv, c @ cv).real - 4 * np.vdot(v, cv).real * np.vdot(gv, cv).real
     s = PureState(TruncationConfig(*grid.shape), v)
     assert abs(disp_plus_rate(s, chi) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 3), (3, 4, 4), (2, 3, 5), (5, 2, 2), (4, 1, 3)])
+def test_pair_quadrature_commutator_is_chi_k_q(shape):
+    # the identity disp_plus_rate rests on: C G - G C = chi (A A+ - A+ A) Q in the
+    # truncated box, with A A+ - A+ A diagonal and equal to the layout's weights
+    chi = 0.7
+    ops = dense_ops(shape)
+    c, g = ops["C_plus"], dense_generator(shape, chi)
+    k = ops["A"] @ ops["Adag"] - ops["Adag"] @ ops["A"]
+    np.testing.assert_allclose(c @ g - g @ c, chi * k @ ops["Q"], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(k, np.diag(np.diag(k)), rtol=0, atol=1e-13)
+    deltas = tuple(range(-(shape[2] - 1), shape[1]))
+    layout = kernels.sector_layout(shape, deltas)
+    weights = np.broadcast_to(layout.raise_w - layout.n1n2, (shape[0],) + layout.valid.shape)
+    np.testing.assert_allclose(kernels.scatter(weights.astype(complex), layout).reshape(-1),
+                               np.diag(k), rtol=0, atol=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -137,3 +135,18 @@ def test_all_sectors_match_dense_exponential(state, chi):
     w, v = np.linalg.eigh(1j * dense_generator(grid.shape, chi))
     want = v @ (np.exp(-1j * w * t) * (v.conj().T @ grid.reshape(-1)))
     np.testing.assert_allclose(traj.final_state.amplitudes, want, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0), st.floats(0.1, 3.0))
+def test_evolve_keeps_inner_products(seed, chi, t):
+    # G is antisymmetric, so exp(G t) keeps <a|b> on a box with every sector occupied
+    shape = (3, 4, 3)
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    spec = EvolutionSpec(HamiltonianParams(chi), dt=t / 4, steps=4)
+    finals = [evolve(PureState(TruncationConfig(*shape), g.reshape(-1) / np.linalg.norm(g)), spec)
+              .final_state for g in (a, b)]
+    assert len(finals[0].layout.deltas) == shape[1] + shape[2] - 1
+    want = np.vdot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    assert abs(np.vdot(finals[0].amplitudes, finals[1].amplitudes) - want) <= 1e-12
