@@ -259,7 +259,15 @@ def cmd_compare(cfg):
 _REPORT_FIELDS = list(DispersionReport._fields)
 
 
+def _check_rows(what, rows):
+    """ValidationError, before any point is evaluated, for more than MAX_ROWS rows."""
+    if rows > MAX_ROWS:
+        raise ValidationError(f"{what} would write {rows} rows, more than the {MAX_ROWS} "
+                              "a run may write")
+
+
 def cmd_dispersion(cfg):
+    _check_rows("params", len(cfg["params"]))
     rows = [build_report(cfg["family"], param, cfg["chi"], cfg["alpha"])
             for param in cfg["params"]]
     return _REPORT_FIELDS, rows, 0
@@ -279,6 +287,8 @@ def _scan_row(family, param, chi, alpha):
 
 def cmd_scan(cfg):
     """Every grid point, in grid order; exit code 3 when a row's status is not "ok"."""
+    shape = [len(cfg[key]) for key in ("chi_values", "alpha_values", "params")]
+    _check_rows("a {} x {} x {} scan".format(*shape), math.prod(shape))
     rows = [
         _scan_row(cfg["family"], param, chi, alpha)
         for chi in cfg["chi_values"]

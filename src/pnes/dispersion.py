@@ -26,7 +26,7 @@ taken from one diagonalization; it is kept as the oracle the tests check
 import math
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fock import HamiltonianParams, TruncationConfig
 from .observables import disp_plus_rate, measure
 from .propagator import rate_of
@@ -123,7 +123,8 @@ def build_report(family, param, chi, alpha):
     """One comparison point: all four rates plus discrepancy metrics.
 
     rate_exact is ``exact_rate``'s value; the state is built on the sector
-    layout once for it and for the diagnostic.
+    layout once for it and for the diagnostic.  NumericalError when a rate
+    overflows float64; ``ratios_defined`` says whether both ratios are finite.
     """
     _check_point(family, param, chi, alpha)
     s0 = _make_state(family, param, alpha)
@@ -132,7 +133,9 @@ def build_report(family, param, chi, alpha):
     p_model = analytic_rate(family, "model", param, chi, alpha)
     m_traj = model_rate_from_trajectory(family, param, chi, alpha)
     diag = diagnostic_simple_rate(s0, chi)
-    defined = p_exact != 0.0 and m_traj != 0.0
+    if not all(map(math.isfinite, (rate, p_exact, p_model, m_traj, diag))):
+        raise NumericalError(f"the dispersion rates of {family} parameter {param!r} at "
+                             f"chi={chi!r} and alpha={alpha!r} overflow float64")
     rel = abs(rate - p_exact) / abs(p_exact) if p_exact != 0.0 else math.nan
     ratio = rate / m_traj if m_traj != 0.0 else math.nan
     return DispersionReport(
@@ -147,5 +150,5 @@ def build_report(family, param, chi, alpha):
         rate_diag_simple=diag,
         rel_err_exact=rel,
         model_exact_ratio=ratio,
-        ratios_defined=defined,
+        ratios_defined=math.isfinite(rel) and math.isfinite(ratio),
     )

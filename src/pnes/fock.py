@@ -32,7 +32,7 @@ class TruncationConfig(NamedTuple("TruncationConfig", [("d0", int), ("d1", int),
 
     def __new__(cls, d0, d1, d2):
         for name, d in (("d0", d0), ("d1", d1), ("d2", d2)):
-            if not isinstance(d, (int, np.integer)) or d < 1:
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {d!r}")
         self = super().__new__(cls, d0, d1, d2)
         if self.dim > MAX_TOTAL_DIM:

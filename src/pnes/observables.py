@@ -99,6 +99,7 @@ def disp_plus_rate(s, chi):
     uses.  As G is antisymmetric, d<X>/dt = <[X, G]>, so
     dD/dt = 2 chi (Re<psi|C+ K Q psi> - <C+> Re<psi|K Q psi>).
     One array phi = K Q psi; <psi|C+ phi> is read as two shifted products.
+    The factor 2 chi multiplies in Python floats, so an overflow is inf, not a warning.
     """
     psi, lay = s.psi, s.layout
     w = lay.pair_w[:-1]
@@ -108,7 +109,7 @@ def disp_plus_rate(s, chi):
     phi *= lay.raise_w - lay.n1n2
     c_plus = 2.0 * np.vdot(psi[:, :-1], w * psi[:, 1:]).real
     c_phi = np.vdot(psi[:, :-1], w * phi[:, 1:]) + np.vdot(psi[:, 1:], w * phi[:, :-1])
-    return float(2.0 * chi * (c_phi.real - c_plus * np.vdot(psi, phi).real))
+    return 2.0 * float(chi) * float(c_phi.real - c_plus * np.vdot(psi, phi).real)
 
 
 def photon_number_distribution(s, mode):

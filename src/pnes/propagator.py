@@ -15,11 +15,12 @@ The chains are folded into P = max(d0, M) blocks of L = min(d0, M) cells: cell
 axes.  A block holds chain b, or chains b and b + P with no hop where they
 meet, so the fold is a permutation of the cells, with no padding, and each
 block's G is one L x L tridiagonal matrix D (-i S) D^-1 with D = diag(i^c) and
-S real symmetric.  One ``np.linalg.eigh`` per block, S = V diag(w) V^T, gives
-the exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and ``steps``
-only set the output grid, and only the recorded times are computed.  The norm
-is reported, never renormalized; ``measure`` reads it and the leakage of each
-recorded state, and ``ExactTrajectory`` states their extremes.
+S real symmetric.  V starts as G folded like psi; ``np.linalg.eigh`` reads its
+lower triangle, which D leaves equal to S's, and S = V diag(w) V^T per block
+gives the exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and
+``steps`` only set the output grid, and only the recorded times are computed.
+The norm is reported, never renormalized; ``measure`` reads it and the leakage
+of each recorded state, and ``ExactTrajectory`` states their extremes.
 """
 
 import math
@@ -92,12 +93,11 @@ def _chain_stepper(psi, layout, chi):
     The fold (see the module docstring) maps cell (n0, m) to position c of
     block (n0 + m) mod P, c = m if d0 >= M, else c = n0.  G takes
     p = (a + 1, m) to q = (a, m + 1) with weight chi * hop[a, m], and q to p
-    with its negative.  Below the diagonal S equals G: G[q, p] when c = m
-    (q one position above p), G[p, q] when c = n0 (p one position above q).
-    The one large array is V, the eigenvectors of every block,
-    shape (P, J, L, L): the blocks' S are filled into V and diagonalized
-    there one block at a time.  ValidationError, before any eigh, if V would
-    exceed 2 * MAX_TOTAL_DIM float64, as many bytes as the largest dense state.
+    with its negative.  The one large array is V, shape (P, J, L, L): it starts
+    as G folded like psi, eigh reads its lower triangle, which D leaves equal
+    to S's, and each block ends as its eigenvectors.  ValidationError, before
+    any eigh, if V would exceed 2 * MAX_TOTAL_DIM float64, as many bytes as the
+    largest dense state.
     """
     d0, M, J = psi.shape
     P, L = max(d0, M), min(d0, M)
@@ -111,12 +111,9 @@ def _chain_stepper(psi, layout, chi):
     pos = np.broadcast_to(m if d0 >= M else n0, block.shape)
     p, q = pos[1:, :-1], pos[:-1, 1:]
     hop = layout.pump_w * layout.pair_w[None, :-1, :]  # G's weight between p and q
-    # eigh reads only the lower triangle
     V = np.zeros((P, J, L, L))
-    if d0 >= M:
-        V[block[1:, :-1], :, q, p] = chi * hop
-    else:
-        V[block[1:, :-1], :, p, q] = -chi * hop
+    V[block[1:, :-1], :, q, p] = chi * hop
+    V[block[1:, :-1], :, p, q] = -chi * hop
     w = np.empty((P, J, L))
     for b in range(P):
         w[b], V[b] = np.linalg.eigh(V[b])

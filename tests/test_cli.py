@@ -474,6 +474,15 @@ class TestDispersion:
         _, columns, _ = read_csv(out)
         assert columns == list(pnes.DispersionReport._fields)
 
+    def test_overflowing_rate_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "family = twb\nparams = 0.2, 0.5\nchi = 3e307\nalpha = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["dispersion", "--config", cfg, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "NumericalError"
+        assert not out.exists()
+
 
 class TestScan:
     def test_grid_rows_and_worker_independence(self, tmp_path):
@@ -543,6 +552,18 @@ class TestScan:
         assert all(v is not None for v in rows[1])
         assert rows[2][columns.index("rate_exact"):columns.index("ratios_defined")] == [None] * 7
         assert "ValidationError" in rows[2][columns.index("status")]
+
+    def test_overflowing_point_status_names_the_error(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "family = twb\nparams = 0.5\nchi_values = 0.1, 3e307, 1e308, 1e307\n"
+                        "alpha_values = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+        _, columns, rows = read_csv(out)
+        statuses = [r[columns.index("status")] for r in rows]
+        assert statuses[0] == statuses[3] == "ok"
+        assert all(s.startswith("NumericalError: ") and "overflow float64" in s
+                   for s in statuses[1:3])
 
     def test_zero_workers_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SCAN_CFG)
@@ -765,6 +786,42 @@ def test_overflowing_times_or_leakage_refused_before_building_a_state(tmp_path, 
     record = refused(tmp_path, capsys, command, "alpha = 1\npair_dim = 4\n" + values)
     assert record["error"] == "ValidationError"
     assert match in record["message"]
+
+
+def _report_stub(family, param, chi, alpha):
+    return pnes.DispersionReport(family, param, chi, alpha, *[0.0] * 7, False)
+
+
+def _floats(n):
+    return ", ".join(str(k) for k in range(n))
+
+
+@pytest.mark.parametrize("command, text, rows", [
+    ("scan", f"family = twb\nparams = 0.5\nchi_values = {_floats(316)}\n"
+             f"alpha_values = {_floats(317)}\n", 100172),
+    ("dispersion", f"family = twb\nparams = {_floats(100001)}\nchi = 0.1\nalpha = 1\n", 100001),
+], ids=["scan", "dispersion"])
+def test_too_many_points_refused_before_evaluating_one(tmp_path, capsys, monkeypatch,
+                                                       command, text, rows):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated a point")
+
+    monkeypatch.setattr(pnes.cli, "build_report", refuse)
+    record = refused(tmp_path, capsys, command, text)
+    assert record["error"] == "ValidationError"
+    assert f"would write {rows} {ROWS}" in record["message"]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("scan", f"family = twb\nparams = 0.5\nchi_values = {_floats(250)}\n"
+             f"alpha_values = {_floats(400)}\n"),
+    ("dispersion", f"family = twb\nparams = {_floats(100000)}\nchi = 0.1\nalpha = 1\n"),
+], ids=["scan", "dispersion"])
+def test_cap_many_points_accepted(tmp_path, monkeypatch, command, text):
+    monkeypatch.setattr(pnes.cli, "build_report", _report_stub)
+    cfg, out = write_cfg(tmp_path / "c.cfg", text), tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 100000
 
 
 class TestExitCodes:

@@ -13,7 +13,7 @@ from pnes.dispersion import (
     model_rate_from_trajectory,
     analytic_rate,
 )
-from pnes.errors import ValidationError
+from pnes.errors import NumericalError, ValidationError
 from pnes.states import coherent, product_state, tmc, twb
 
 
@@ -157,6 +157,26 @@ class TestBuildReport:
     def test_diagnostic_columns_consistent(self):
         rep = build_report("tmc", 0.5, 0.1, 1.0)
         assert rep.rate_diag_simple == pytest.approx(rep.rate_exact, rel=1e-3)
+
+    @pytest.mark.parametrize("chi", [3e307, 1e308])
+    def test_overflowing_rate_is_a_numerical_error(self, chi):
+        # rate_exact overflows; at 3e307 it used to warn in numpy, at 1e308 silently
+        with pytest.raises(NumericalError, match="overflow float64"):
+            build_report("twb", 0.5, chi, 1.0)
+
+    def test_largest_rates_stay_finite(self):
+        rep = build_report("twb", 0.5, 1e307, 1.0)
+        assert all(math.isfinite(v) for v in rep[4:11])
+        assert rep.ratios_defined
+
+    @pytest.mark.parametrize("family, param, chi", [
+        ("twb", 0.4, 0.1), ("tmc", 0.5, 0.1), ("twb", 0.0, 0.1), ("tmc", 0.0, 0.1),
+        ("twb", 0.4, 0.0), ("twb", 0.5, 5e-324),
+    ])
+    def test_ratios_defined_means_both_ratios_finite(self, family, param, chi):
+        rep = build_report(family, param, chi, 1.0)
+        assert rep.ratios_defined == (math.isfinite(rep.rel_err_exact)
+                                      and math.isfinite(rep.model_exact_ratio))
 
 
 class TestDefaultTruncation:

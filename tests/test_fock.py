@@ -19,6 +19,13 @@ class TestTruncationConfig:
         with pytest.raises(ValidationError):
             TruncationConfig(*dims)
 
+    @pytest.mark.parametrize("name", ["d0", "d1", "d2"])
+    def test_rejects_a_bool(self, name):
+        dims = dict(d0=2, d1=2, d2=2)
+        dims[name] = True
+        with pytest.raises(ValidationError, match=f"{name} must be a positive integer, got True"):
+            TruncationConfig(**dims)
+
 
 class TestHamiltonianParams:
     def test_rejects_negative_chi(self):
