@@ -16,10 +16,12 @@ family, four values of dD_{C+}/dt at t = 0 are assembled per point:
 Ground truth is rate_exact; it depends only on the commutator
 [C+, G] = chi K Q of the truncated operators and the state constructors.  Each
 point's state is ``states.initial_state`` on ``default_truncation``'s box:
-the family's smallest cutoff plus two pair levels.
+the family's smallest cutoff plus two pair levels.  ``exact_rate``,
+``analytic_rate``, ``model_rate_from_trajectory`` and ``build_report`` raise
+NumericalError, all with one message, when a rate overflows float64.
 ``exact_rate_fd`` gets the same number independently, by Richardson finite
 differences (``propagator.rate_of``) of four exact states, at +-h and +-h/2,
-taken from one diagonalization; it is kept as the oracle the tests check
+taken from one SVD of the blocks; it is kept as the oracle the tests check
 ``exact_rate`` against, and no report uses it.
 """
 
@@ -59,6 +61,14 @@ def _check_point(family, param, chi, alpha):
     check_alpha(alpha)
 
 
+def _finite(rate, family, param, chi, alpha):
+    """``rate`` itself, or NumericalError when it overflows float64."""
+    if not math.isfinite(rate):
+        raise NumericalError(f"the dispersion rates of {family} parameter {param!r} at "
+                             f"chi={chi!r} and alpha={alpha!r} overflow float64")
+    return rate
+
+
 def analytic_rate(family, side, param, chi, alpha):
     """Closed-form dD_{C+}/dt endpoints for the two state families."""
     _check_point(family, param, chi, alpha)
@@ -66,9 +76,10 @@ def analytic_rate(family, side, param, chi, alpha):
         raise ValidationError(f"side must be 'exact' or 'model', got {side!r}")
     if family == "twb":
         x = param
-        return 8.0 * chi * alpha * x * (1.0 + x * x) / (1.0 - x * x) ** 2
-    lam = param
-    return (8.0 if side == "exact" else 4.0) * chi * lam * alpha
+        rate = 8.0 * chi * alpha * x * (1.0 + x * x) / (1.0 - x * x) ** 2
+    else:
+        rate = (8.0 if side == "exact" else 4.0) * chi * param * alpha
+    return _finite(rate, family, param, chi, alpha)
 
 
 def model_rate_from_trajectory(family, param, chi, alpha):
@@ -83,8 +94,10 @@ def model_rate_from_trajectory(family, param, chi, alpha):
         x = param
         dD_dx = 8.0 * x * (1.0 + x * x) / (1.0 - x * x) ** 3
         dx_dt = chi * alpha * (1.0 - x * x)
-        return dD_dx * dx_dt
-    return 4.0 * chi * param * alpha
+        rate = dD_dx * dx_dt
+    else:
+        rate = 4.0 * chi * param * alpha
+    return _finite(rate, family, param, chi, alpha)
 
 
 def default_truncation(family, param, alpha):
@@ -103,7 +116,8 @@ def _make_state(family, param, alpha):
 def exact_rate(family, param, chi, alpha):
     """dD_{C+}/dt at t=0 on coherent(alpha) x family(param), from the commutator [C+, G]."""
     _check_point(family, param, chi, alpha)
-    return disp_plus_rate(_make_state(family, param, alpha), chi)
+    rate = disp_plus_rate(_make_state(family, param, alpha), chi)
+    return _finite(rate, family, param, chi, alpha)
 
 
 def exact_rate_fd(family, param, chi, alpha):
@@ -128,14 +142,11 @@ def build_report(family, param, chi, alpha):
     """
     _check_point(family, param, chi, alpha)
     s0 = _make_state(family, param, alpha)
-    rate = disp_plus_rate(s0, chi)
+    rate = _finite(disp_plus_rate(s0, chi), family, param, chi, alpha)
     p_exact = analytic_rate(family, "exact", param, chi, alpha)
     p_model = analytic_rate(family, "model", param, chi, alpha)
     m_traj = model_rate_from_trajectory(family, param, chi, alpha)
-    diag = diagnostic_simple_rate(s0, chi)
-    if not all(map(math.isfinite, (rate, p_exact, p_model, m_traj, diag))):
-        raise NumericalError(f"the dispersion rates of {family} parameter {param!r} at "
-                             f"chi={chi!r} and alpha={alpha!r} overflow float64")
+    diag = _finite(diagnostic_simple_rate(s0, chi), family, param, chi, alpha)
     rel = abs(rate - p_exact) / abs(p_exact) if p_exact != 0.0 else math.nan
     ratio = rate / m_traj if m_traj != 0.0 else math.nan
     return DispersionReport(

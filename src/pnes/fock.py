@@ -61,7 +61,7 @@ class HamiltonianParams(NamedTuple("HamiltonianParams", [("chi", float)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, chi):
-        if not np.isfinite(chi) or chi < 0:
+        if isinstance(chi, (bool, np.bool_)) or not np.isfinite(chi) or chi < 0:
             raise ValidationError(f"chi must be finite and >= 0, got {chi!r}")
         return super().__new__(cls, chi)
 

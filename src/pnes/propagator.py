@@ -13,12 +13,13 @@ where hop = pump_w * pair_w, formed in ``_chain_stepper`` and nowhere else.
 The chains are folded into P = max(d0, M) blocks of L = min(d0, M) cells: cell
 (n0, m) goes to block K mod P, at its index along the shorter of the n0 and m
 axes.  A block holds chain b, or chains b and b + P with no hop where they
-meet, so the fold is a permutation of the cells, with no padding, and each
-block's G is one L x L tridiagonal matrix D (-i S) D^-1 with D = diag(i^c) and
-S real symmetric.  V starts as G folded like psi; ``np.linalg.eigh`` reads its
-lower triangle, which D leaves equal to S's, and S = V diag(w) V^T per block
-gives the exact propagator exp(G t) = D V exp(-i w t) V^T D^-1: ``dt`` and
-``steps`` only set the output grid, and only the recorded times are computed.
+meet, so the fold is a permutation of the cells, with no padding.  A hop joins
+an even index to an odd one, so with its even cells first a block's G is
+[[0, B], [-B^T, 0]], and B = U S W^T (``np.linalg.svd``) gives the exact
+propagator as a real rotation: the coefficients u = U^T x_even and
+w = W^T x_odd turn by the angles s t (G's eigenvalues are +-i s), and a real
+state stays real.  ``dt`` and ``steps`` only set the output grid, and only the
+recorded times are computed.
 The norm is reported, never renormalized; ``measure`` reads it and the leakage
 of each recorded state, and ``ExactTrajectory`` states their extremes.
 """
@@ -43,7 +44,7 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
         for name, n in (("steps", steps), ("record_every", record_every)):
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {n!r}")
-        if dt == 0 or not np.isfinite(dt):
+        if isinstance(dt, (bool, np.bool_)) or dt == 0 or not np.isfinite(dt):
             raise ValidationError(f"dt must be finite and nonzero, got {dt!r}")
         if steps < 0:
             raise ValidationError(f"steps must be >= 0, got {steps}")
@@ -55,9 +56,10 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
                                   f"{rows} rows, more than the {MAX_ROWS} a run may write")
         # a conservative bound on what the stepper computes, in Python floats (inf or
         # nan on overflow, never an error): T = steps |dt| is the last recorded time and
-        # the longest span, and every eigenvalue of G is below 2 chi max hop <=
-        # chi 2 sqrt(MAX_TOTAL_DIM) = chi 2^14.  T and chi 2^14 must be finite, and
-        # chi 2^14 T <= 2^52: past 2^52, float64 resolves a phase w t to +-0.5 rad at best
+        # the longest span, and every singular value s of a block's B (G's eigenvalues
+        # are +-i s) is below 2 chi max hop <= chi 2 sqrt(MAX_TOTAL_DIM) = chi 2^14.
+        # T and chi 2^14 must be finite, and chi 2^14 T <= 2^52: past 2^52, float64
+        # resolves an angle s t to +-0.5 rad at best
         chi = float(params.chi)
         T = float(steps) * abs(float(dt)) if steps <= sys.float_info.max else math.inf
         rate = chi * 2.0 * MAX_TOTAL_DIM**0.5
@@ -87,52 +89,54 @@ class ExactTrajectory(NamedTuple):
 def _chain_stepper(psi, layout, chi):
     """A function ``step(h)`` that advances the sector array psi on ``layout`` by exp(G h).
 
-    Each call rotates the blocks' coefficients in place and returns the new
-    sector array; the rotation exp(-i w h) is computed once for each distinct h.
+    Each call turns the blocks' coefficients u and w in place by the angles
+    s h and returns the new sector array; cos(s h) and sin(s h) are computed
+    once for each distinct h.
 
-    The fold (see the module docstring) maps cell (n0, m) to position c of
-    block (n0 + m) mod P, c = m if d0 >= M, else c = n0.  G takes
-    p = (a + 1, m) to q = (a, m + 1) with weight chi * hop[a, m], and q to p
-    with its negative.  The one large array is V, shape (P, J, L, L): it starts
-    as G folded like psi, eigh reads its lower triangle, which D leaves equal
-    to S's, and each block ends as its eigenvectors.  ValidationError, before
-    any eigh, if V would exceed 2 * MAX_TOTAL_DIM float64, as many bytes as the
-    largest dense state.
+    The fold (see the module docstring) maps cell (n0, m) to index c of block
+    (n0 + m) mod P, c = m if d0 >= M, else c = n0, at pos = c // 2 for even c
+    and E + c // 2 for odd c, E = ceil(L/2).  G takes p = (a + 1, m) to
+    q = (a, m + 1) with weight chi * hop[a, m], and q to p with its negative;
+    B, shape (P, J, E, L // 2), holds G's entries from odd cells to even ones.
+    U and Wt hold about half of P * J * L^2 float64; ValidationError, before
+    any decomposition, if P * J * L^2 would exceed 2 * MAX_TOTAL_DIM float64,
+    as many bytes as the largest dense state.
     """
     d0, M, J = psi.shape
     P, L = max(d0, M), min(d0, M)
     if P * J * L * L > 2 * MAX_TOTAL_DIM:
-        raise ValidationError(
-            f"the chain eigenvectors of {J} n1 - n2 sectors on a {d0} x {M} box "
-            f"exceed {2 * MAX_TOTAL_DIM} float64"
-        )
+        raise ValidationError(f"the chain eigenvectors of {J} n1 - n2 sectors on a {d0} x "
+                              f"{M} box exceed {2 * MAX_TOTAL_DIM} float64")
+    E, F = (L + 1) // 2, L // 2
     n0, m = np.ogrid[:d0, :M]
     block = (n0 + m) % P
-    pos = np.broadcast_to(m if d0 >= M else n0, block.shape)
+    c = np.broadcast_to(m if d0 >= M else n0, block.shape)
+    pos = c // 2 + (c % 2) * E
     p, q = pos[1:, :-1], pos[:-1, 1:]
     hop = layout.pump_w * layout.pair_w[None, :-1, :]  # G's weight between p and q
-    V = np.zeros((P, J, L, L))
-    V[block[1:, :-1], :, q, p] = chi * hop
-    V[block[1:, :-1], :, p, q] = -chi * hop
-    w = np.empty((P, J, L))
-    for b in range(P):
-        w[b], V[b] = np.linalg.eigh(V[b])
+    B = np.zeros((P, J, E, F))
+    # a hop's even cell is the one with the lower pos; G's entry from p to q is +chi hop
+    sign = np.where(q < p, chi, -chi)[..., None]
+    B[block[1:, :-1], :, np.minimum(p, q), np.maximum(p, q) - E] = sign * hop
+    U, s, Wt = np.linalg.svd(B)
 
-    d = np.array([1, 1j, -1, -1j])[np.arange(L) % 4]  # D = diag(i^c)
-    x = np.empty((P, J, L), dtype=np.complex128)
-    x[block, :, pos] = psi  # the fold is a permutation: this sets every cell
-    x *= d.conj()
-    # V is real: it multiplies real and imaginary parts as two real columns,
-    # the float64 view of a complex array
-    columns = np.matmul(V.swapaxes(-1, -2), x.view(np.float64).reshape(*x.shape, 2))
-    coef = columns.view(np.complex128)[..., 0]
+    # the fold is a permutation, so this sets every cell.  U and Wt are real: they
+    # multiply real and imaginary parts as two real columns, x's float64 view
+    x = np.empty((P, J, L, 2))
+    x.view(np.complex128)[..., 0][block, :, pos] = psi
+    u, w = np.matmul(U.swapaxes(-1, -2), x[..., :E, :]), np.matmul(Wt, x[..., E:, :])
+    u_paired = u[..., :F, :]  # for odd L, u's last row pairs with no s and never moves
+    # s once per column: a product broadcast over the length-2 column axis is slow
+    s = np.repeat(s[..., None], 2, axis=-1)
     rotations = {}
 
     def step(h):
         if h not in rotations:
-            rotations[h] = np.exp(-1j * h * w)
-        np.multiply(coef, rotations[h], out=coef)  # rotates columns, which coef views
-        return (np.matmul(V, columns).view(np.complex128)[..., 0] * d)[block, :, pos]
+            rotations[h] = np.cos(h * s), np.sin(h * s)
+        cos, sin = rotations[h]
+        u_paired[...], w[...] = cos * u_paired + sin * w, cos * w - sin * u_paired
+        out = np.concatenate((np.matmul(U, u), np.matmul(Wt.swapaxes(-1, -2), w)), axis=-2)
+        return out.view(np.complex128)[..., 0][block, :, pos]
 
     return step
 
@@ -142,7 +146,7 @@ def evolve(s0, spec):
 
     Only those times are computed.  The final state never shares its sector
     array with s0.  Nothing scatters to the dense grid.  Raises
-    ValidationError when the blocks' eigenvectors would not fit (see
+    ValidationError when the blocks' singular vectors would not fit (see
     ``_chain_stepper``).
     """
     psi, layout = s0.psi, s0.layout
@@ -175,7 +179,7 @@ def rate_of(s0, params, f):
     ``lambda s: measure(s).disp_plus``.
     Central differences with steps h and h/2 are combined to fourth order,
     with h = 1e-3 / (chi * max(1, |<a0>|, <N>)).  The four states, at +-h and
-    +-h/2, are exact and come from one diagonalization (``_chain_stepper``).
+    +-h/2, are exact and come from one SVD of the blocks (``_chain_stepper``).
     Raises NoisyDerivativeError (carrying both estimates) when their error
     estimate |d(h/2) - d(h)| / 3 exceeds 1e-4 * max(1, |rate|).
     """

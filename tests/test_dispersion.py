@@ -179,6 +179,26 @@ class TestBuildReport:
                                       and math.isfinite(rep.model_exact_ratio))
 
 
+_RATES = {
+    "exact_rate": exact_rate,
+    "analytic_rate-exact": lambda f, p, c, a: analytic_rate(f, "exact", p, c, a),
+    "analytic_rate-model": lambda f, p, c, a: analytic_rate(f, "model", p, c, a),
+    "model_rate_from_trajectory": model_rate_from_trajectory,
+}
+
+
+@pytest.mark.parametrize("family, param, alpha", [("twb", 0.5, 1.0), ("tmc", 1.0, 2.0)])
+@pytest.mark.parametrize("rate", list(_RATES.values()), ids=list(_RATES))
+def test_each_rate_refuses_to_overflow_as_build_report_does(rate, family, param, alpha):
+    # every rate here is about 9 to 16 chi: inf at chi = 3e307, finite at 1e307
+    with pytest.raises(NumericalError) as want:
+        build_report(family, param, 3e307, alpha)
+    with pytest.raises(NumericalError) as got:
+        rate(family, param, 3e307, alpha)
+    assert str(got.value) == str(want.value)
+    assert math.isfinite(rate(family, param, 1e307, alpha))
+
+
 class TestDefaultTruncation:
     def test_tails_hold(self):
         trunc = default_truncation("twb", 0.6, 2.0)

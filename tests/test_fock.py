@@ -36,6 +36,15 @@ class TestHamiltonianParams:
         with pytest.raises(ValidationError):
             HamiltonianParams(float("nan"))
 
+    @pytest.mark.parametrize("field, value", [("chi", True), ("chi", False), ("chi", np.True_),
+                                              ("dt", True), ("dt", np.True_)],
+                             ids=["chi-True", "chi-False", "chi-np.True_", "dt-True", "dt-np.True_"])
+    def test_rejects_a_bool(self, field, value):
+        # a bool passes the finiteness checks, so each constructor refuses it by type
+        args = {"chi": 0.1, "dt": 0.1, field: value}
+        with pytest.raises(ValidationError, match=f"^{field} must be finite and .*, got {value!r}$"):
+            EvolutionSpec(HamiltonianParams(args["chi"]), dt=args["dt"], steps=2)
+
 
 class TestPureState:
     def test_rejects_an_amplitude_count_off_the_config(self):

@@ -140,10 +140,10 @@ class TestEvolve:
         assert traj.leakage == np.max(leakages)
 
     def test_too_many_sectors_rejected_before_diagonalizing(self, monkeypatch):
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("eigh called")
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
 
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         cfg = TruncationConfig(100, 100, 100)
         s0 = PureState(cfg, np.full(cfg.dim, cfg.dim**-0.5, dtype=complex))
         with pytest.raises(ValidationError, match="sectors"):
@@ -154,10 +154,10 @@ class TestEvolve:
         ("record_every", 0),
     ])
     def test_non_integer_counts_rejected_before_diagonalizing(self, monkeypatch, field, value):
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("eigh called")
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
 
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
         counts = {"steps": 4, "record_every": 1, field: value}
         with pytest.raises(ValidationError, match=field):
@@ -250,8 +250,12 @@ class TestEvolve:
 class TestFoldedBlocks:
     """The K-chains folded into max(d0, M) blocks of min(d0, M) cells."""
 
-    @pytest.mark.parametrize("shape", [(7, 4, 5), (4, 5, 4), (3, 6, 5)],
-                             ids=["d0>M", "d0=M", "d0<M"])
+    # odd L leaves B a row with no singular value; in the two-odd-chains boxes block 2
+    # holds two chains of three cells, which give B a zero singular value
+    @pytest.mark.parametrize("shape", [(7, 4, 5), (4, 5, 4), (3, 6, 5), (7, 5, 5), (5, 7, 7),
+                                       (8, 6, 6), (6, 8, 8)],
+                             ids=["d0>M", "d0=M", "d0<M", "odd-L-d0>M", "odd-L-d0<M",
+                                  "two-odd-chains-d0>M", "two-odd-chains-d0<M"])
     def test_matches_dense_exponential(self, shape):
         rng = np.random.default_rng(7)
         grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -294,6 +298,22 @@ class TestFoldedBlocks:
         assert from_sectors.leakage == pytest.approx(from_state.leakage, rel=1e-12)
         np.testing.assert_allclose([o.norm for o in from_sectors.observables],
                                    [o.norm for o in from_state.observables], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(1, 4, 5), (6, 1, 3)], ids=["pair-only", "M=1"])
+    def test_one_cell_blocks_never_move(self, shape):
+        # L = 1: G has no hop and B no column, so U = [[+-1]] gives back every bit
+        rng = np.random.default_rng(5)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s0 = PureState(TruncationConfig(*shape), grid.reshape(-1))
+        final = evolve(s0, EvolutionSpec(HamiltonianParams(0.9), dt=0.3, steps=4)).final_state
+        np.testing.assert_array_equal(final.psi, s0.psi)
+
+    def test_a_real_state_stays_real(self):
+        s0 = initial_state("twb", 0.5, 4.0, 0, 40)
+        assert not np.any(s0.psi.imag)
+        traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.01, steps=200))
+        assert np.all(traj.final_state.psi.imag == 0.0)
+        assert all(o.pair_amp.imag == 0.0 for o in traj.observables)  # im_pair_amp
 
 
 class TestRateOf:
