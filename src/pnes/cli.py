@@ -245,8 +245,7 @@ def cmd_compare(cfg):
     spec = EvolutionSpec(HamiltonianParams(chi), dt=cfg["dt"], steps=steps,
                          record_every=cfg["record_every"])
     traj = evolve(_build_exact_state(dict(cfg, family="vacuum", param=0.0)), spec)
-    profile = PumpProfile.constant(alpha)
-    model = integrate_model(profile, chi, traj.times)
+    model = closed_form_trajectory(PumpProfile.constant(alpha), chi, traj.times)
     columns = ["t", "n_exact", "n_model", "rel_dev_n",
                "abs_pair_amp_exact", "lambda_model", "rel_dev_lambda"]
     n_e = np.array([o.total_n for o in traj.observables])

@@ -12,7 +12,7 @@ G conserves delta = n1 - n2 and n0 + n1, so the box (d0, d1, d2) splits into
 independent sectors, one per delta in [-(d2 - 1), d1 - 1].  Inside a sector
 an amplitude is fixed by n0 and the pair index m = min(n1, n2), with
 n1 = m + max(delta, 0) and n2 = m + max(-delta, 0); G only hops
-(n0 + 1, m) <-> (n0, m + 1).  The kernels work on a stacked array
+(n0 + 1, m) <-> (n0, m + 1).  A state keeps its sectors in one stacked array
 
     psi[n0, m, j]    shape (d0, min(d1, d2), J)
 

@@ -98,9 +98,10 @@ def _chain_stepper(psi, layout, chi):
     and E + c // 2 for odd c, E = ceil(L/2).  G takes p = (a + 1, m) to
     q = (a, m + 1) with weight chi * hop[a, m], and q to p with its negative;
     B, shape (P, J, E, L // 2), holds G's entries from odd cells to even ones.
-    U and Wt hold about half of P * J * L^2 float64; ValidationError, before
-    any decomposition, if P * J * L^2 would exceed 2 * MAX_TOTAL_DIM float64,
-    as many bytes as the largest dense state.
+    U and Wt hold about half of P * J * L^2 float64, but B, U, Wt and the SVD's
+    temporaries are live at once, so the peak is about P * J * L^2 float64;
+    ValidationError, before any decomposition, if P * J * L^2 would exceed
+    2 * MAX_TOTAL_DIM float64, as many bytes as the largest dense state.
     """
     d0, M, J = psi.shape
     P, L = max(d0, M), min(d0, M)

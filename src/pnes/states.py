@@ -175,12 +175,15 @@ def check_param(family, param):
 def initial_state(family, param, alpha, d0, d):
     """coherent(alpha) on d0 pump levels times family(param) on d pair levels.
 
-    d0 = 0 chooses ``pump_dimension(alpha)``.  A negative d0 or an oversized
-    box is refused before anything is built, and a d0 that cuts off more than
-    COHERENT_TAIL_WARN of the pump raises DimensionTooSmallError.
+    d0 = 0 chooses ``pump_dimension(alpha)``.  A negative d0, a d below 1 (the
+    CLI's ``pair_dim``) or an oversized box is refused before anything is built,
+    and a d0 that cuts off more than COHERENT_TAIL_WARN of the pump raises
+    DimensionTooSmallError.
     """
     if d0 < 0:
         raise ValidationError(f"d0 must be 0 (choose from alpha) or >= 1, got {d0}")
+    if d < 1:
+        raise ValidationError(f"pair_dim must be >= 1, got {d}")
     d0 = d0 or pump_dimension(alpha)
     TruncationConfig(d0, d, d)  # refuse an oversized box before building any of it
     pump = coherent(alpha, d0)

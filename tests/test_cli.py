@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import pnes
 from pnes.cli import _build_profile, main, read_config_file, validate_config
 from pnes.errors import ValidationError
-from pnes.meanfield import tau_of_t
+from pnes.meanfield import PumpProfile, closed_form_trajectory, tau_of_t
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -447,6 +448,31 @@ class TestCompare:
         record = refused(tmp_path, capsys, "compare", text.replace("dt = 0.01", f"dt = {dt}"))
         assert "t_stop / dt must be finite" in record["message"]
 
+    def test_model_columns_are_the_closed_form(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model was integrated")
+
+        monkeypatch.setattr(pnes.cli, "integrate_model", refuse)
+        monkeypatch.setattr(pnes.meanfield, "_rk4_pass", refuse)
+        cfg, out = write_cfg(tmp_path / "c.cfg", COMPARE_CFG), tmp_path / "out.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        t, n, lam = (np.array([float(r[columns.index(c)]) for r in rows])
+                     for c in ("t", "n_model", "lambda_model"))
+        want = closed_form_trajectory(PumpProfile.constant(5.0), 0.01, t)
+        np.testing.assert_array_equal(n, want.N)
+        np.testing.assert_array_equal(lam, want.Lambda)
+
+    def test_one_long_step_reads_a_finite_model(self, tmp_path):
+        # 400 chi alpha dt = 1.2e5 RK4 substeps, past the integrator's cap, but
+        # N(tau = 300) = 2 sinh^2(300) = 1.8865e260 is finite
+        text = "alpha = 2\nchi = 0.05\nt_stop = 3000\ndt = 3000\npair_dim = 12\n"
+        cfg, out = write_cfg(tmp_path / "c.cfg", text), tmp_path / "out.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        n_model = float(rows[-1][columns.index("n_model")])
+        assert n_model == pytest.approx(2.0 * math.sinh(300.0) ** 2, rel=1e-12)
+
     def test_pump_cutoff_rejected(self, tmp_path, capsys):
         text = COMPARE_CFG.replace("alpha = 5", "alpha = 4\nd0 = 3")
         cfg = write_cfg(tmp_path / "c.cfg", text)
@@ -711,6 +737,23 @@ def test_negative_d0_rejected_before_building_a_state(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair_dim", [0, -2])
+@pytest.mark.parametrize("command, text", [
+    ("evolve-exact", EVOLVE_EXACT_CFG.replace("pair_dim = 10\n", "")),
+    ("compare", COMPARE_CFG.replace("pair_dim = 8\n", "")),
+], ids=["evolve-exact", "compare"])
+def test_pair_dim_below_one_named_before_building_a_state(tmp_path, capsys, monkeypatch,
+                                                          command, text, pair_dim):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or evolved a state")
+
+    monkeypatch.setattr(pnes.cli, "evolve", refuse)
+    monkeypatch.setattr(pnes.states, "coherent", refuse)
+    record = refused(tmp_path, capsys, command, text + f"pair_dim = {pair_dim}\n")
+    assert record == {"error": "ValidationError",
+                      "message": f"pair_dim must be >= 1, got {pair_dim}"}
+
+
 @pytest.mark.parametrize("command, text", [
     ("evolve-exact", EVOLVE_EXACT_CFG.replace("chi = 0.05", "chi = -1")),
     ("compare", COMPARE_CFG.replace("chi = 0.01", "chi = -1")),
@@ -736,21 +779,28 @@ def refused(tmp_path, capsys, command, text):
     return json.loads(line)
 
 
-@pytest.mark.parametrize("command, text", [
+@pytest.mark.parametrize("command, text, code, error, match", [
     ("evolve-model", "profile = rectangular\namplitude = 1\nduration = 2\nchi = 1\n"
-                     "t_start = -1\nt_stop = 1e12\nn_points = 3\n"),
-    ("compare", "alpha = 2\nchi = 0.05\nt_stop = 1e12\ndt = 1e11\npair_dim = 12\n"),
+                     "t_start = -1\nt_stop = 1e12\nn_points = 3\n",
+     1, "ValidationError", "RK4 substeps at pump peak 1.0, more than 100000: add grid points"),
+    ("compare", "alpha = 2\nchi = 0.05\nt_stop = 1e12\ndt = 1e11\npair_dim = 12\n",
+     2, "NumericalError", "the closed form overflows float64 at |tau| = 100000000000.0"),
 ], ids=["evolve-model", "compare"])
 def test_coarse_model_grid_refused_before_integrating(tmp_path, capsys, monkeypatch,
-                                                      command, text):
-    # 400 chi peak dt substeps per piece: 2e14 and 4e12 here, which never returned
+                                                      command, text, code, error, match):
+    # evolve-model: 400 chi peak dt = 2e14 RK4 substeps per piece, which never returned;
+    # compare reads the closed form, which overflows at tau = chi alpha t = 1e11
     def refuse(*args, **kwargs):
         raise AssertionError("the model was integrated")
 
     monkeypatch.setattr(pnes.meanfield, "_rk4_pass", refuse)
-    record = refused(tmp_path, capsys, command, text)
-    assert record["error"] == "ValidationError"
-    assert "RK4 substeps" in record["message"] and "add grid points" in record["message"]
+    cfg, out = write_cfg(tmp_path / "c.cfg", text), tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert not out.exists()
+    record = json.loads(line)
+    assert record["error"] == error
+    assert match in record["message"]
 
 
 PHASES = "conservative bound on the recorded times and the propagator's phases"

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,27 @@ class TestEvolve:
         s0 = PureState(cfg, np.full(cfg.dim, cfg.dim**-0.5, dtype=complex))
         with pytest.raises(ValidationError, match="sectors"):
             evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, steps=1))
+
+    def test_refusal_counts_the_stepper_peak(self):
+        # B, U, Wt and the SVD's temporaries are live at once: the stepper's peak is
+        # about the P J L^2 float64 that the refusal rule counts, not half of it
+        shape = (30, 30, 30)
+        rng = np.random.default_rng(3)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s0 = PureState(TruncationConfig(*shape), grid.reshape(-1))
+        J = s0.psi.shape[2]
+        assert J == 59
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            propagator._chain_stepper(s0.psi, s0.layout, 0.3)(0.1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 30 * J * 30**2
 
     @pytest.mark.parametrize("field, value", [
         ("steps", 2.5), ("steps", True), ("record_every", 2.0), ("record_every", True),
