@@ -244,8 +244,10 @@ def cmd_compare(cfg):
     steps = _step_count(cfg["t_stop"], cfg["dt"])
     spec = EvolutionSpec(HamiltonianParams(chi), dt=cfg["dt"], steps=steps,
                          record_every=cfg["record_every"])
-    traj = evolve(_build_exact_state(dict(cfg, family="vacuum", param=0.0)), spec)
-    model = closed_form_trajectory(PumpProfile.constant(alpha), chi, traj.times)
+    s0 = _build_exact_state(dict(cfg, family="vacuum", param=0.0))
+    # the model first: one that overflows is refused before the exact run
+    model = closed_form_trajectory(PumpProfile.constant(alpha), chi, spec.times())
+    traj = evolve(s0, spec)
     columns = ["t", "n_exact", "n_model", "rel_dev_n",
                "abs_pair_amp_exact", "lambda_model", "rel_dev_lambda"]
     n_e = np.array([o.total_n for o in traj.observables])

@@ -21,7 +21,7 @@ the family's smallest cutoff plus two pair levels.  ``exact_rate``,
 NumericalError, all with one message, when a rate overflows float64.
 ``exact_rate_fd`` gets the same number independently, by Richardson finite
 differences (``propagator.rate_of``) of four exact states, at +-h and +-h/2,
-taken from one SVD of the blocks; it is kept as the oracle the tests check
+read from one spectrum of the blocks; it is kept as the oracle the tests check
 ``exact_rate`` against, and no report uses it.
 """
 

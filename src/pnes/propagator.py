@@ -9,16 +9,17 @@ G conserves n1 - n2, so ``evolve`` works on the occupied sectors a
 ``PureState`` holds, psi[n0, m, j] (see ``kernels``).  There G only hops
 (n0 + 1, m) <-> (n0, m + 1): each chain K = n0 + m evolves alone under a real
 antisymmetric tridiagonal matrix with off-diagonal chi * hop[K - m - 1, m, j],
-where hop = pump_w * pair_w, formed in ``_chain_stepper`` and nowhere else.
+where hop = pump_w * pair_w, formed in ``_chain_spectrum`` and nowhere else.
 The chains are folded into P = max(d0, M) blocks of L = min(d0, M) cells: cell
 (n0, m) goes to block K mod P, at its index along the shorter of the n0 and m
 axes.  A block holds chain b, or chains b and b + P with no hop where they
 meet, so the fold is a permutation of the cells, with no padding.  A hop joins
 an even index to an odd one, so with its even cells first a block's G is
 [[0, B], [-B^T, 0]], and B = U S W^T (``np.linalg.svd``) gives the exact
-propagator as a real rotation: the coefficients u = U^T x_even and
-w = W^T x_odd turn by the angles s t (G's eigenvalues are +-i s), and a real
-state stays real.  ``dt`` and ``steps`` only set the output grid, and only the
+propagator as a real rotation: the coefficients u0 = U^T x_even and
+w0 = W^T x_odd of the initial state turn by the angles s t (G's eigenvalues
+are +-i s), and a real state stays real.  So each record is exp(G t) psi at
+its own t, ``dt`` and ``steps`` only set the output grid, and only the
 recorded times are computed.
 The norm is reported, never renormalized; ``measure`` reads it and the leakage
 of each recorded state, and ``ExactTrajectory`` states their extremes.
@@ -54,12 +55,11 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
         if rows > MAX_ROWS:
             raise ValidationError(f"steps={steps} at record_every={record_every} would record "
                                   f"{rows} rows, more than the {MAX_ROWS} a run may write")
-        # a conservative bound on what the stepper computes, in Python floats (inf or
-        # nan on overflow, never an error): T = steps |dt| is the last recorded time and
-        # the longest span, and every singular value s of a block's B (G's eigenvalues
-        # are +-i s) is below 2 chi max hop <= chi 2 sqrt(MAX_TOTAL_DIM) = chi 2^14.
-        # T and chi 2^14 must be finite, and chi 2^14 T <= 2^52: past 2^52, float64
-        # resolves an angle s t to +-0.5 rad at best
+        # a conservative bound on the phases s t the spectrum turns by, in Python floats
+        # (inf or nan on overflow, never an error): T = steps |dt| bounds every |t| at
+        # which the spectrum is read, and every singular value s of a block's B is below
+        # 2 chi max hop <= chi 2 sqrt(MAX_TOTAL_DIM) = chi 2^14.  T and chi 2^14 must be
+        # finite, and chi 2^14 T <= 2^52: past 2^52, float64 resolves s t to +-0.5 rad at best
         chi = float(params.chi)
         T = float(steps) * abs(float(dt)) if steps <= sys.float_info.max else math.inf
         rate = chi * 2.0 * MAX_TOTAL_DIM**0.5
@@ -69,10 +69,15 @@ class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), 
                                   "propagator's phases")
         return super().__new__(cls, params, dt, steps, record_every)
 
+    def times(self):
+        """The recorded times as Python floats: 0, then k dt at k = r, 2 r, ... and steps."""
+        n, r = self.steps, self.record_every
+        return [0.0, *(min(k, n) * self.dt for k in range(r, n + r, r))]
+
 
 class ExactTrajectory(NamedTuple):
     """What ``evolve`` records, ending in ``final_state``: ``observables[k]`` is
-    ``measure`` of the state at ``times[k]``, its norm and its leakage (the
+    ``measure`` of exp(G times[k]) s0, its norm and its leakage (the
     probability on the edge cells from which one application of G leaves the
     box) included.  ``leakage`` is the largest leakage and ``norm_drift`` the
     largest |norm^2 - 1| over the records.  The leakage lies in [0, 1] and does
@@ -86,22 +91,21 @@ class ExactTrajectory(NamedTuple):
     leakage: float
 
 
-def _chain_stepper(psi, layout, chi):
-    """A function ``step(h)`` that advances the sector array psi on ``layout`` by exp(G h).
+def _chain_spectrum(psi, layout, chi):
+    """A function ``at(t)``: the sector array exp(G t) psi on ``layout``, at any real t.
 
-    Each call turns the blocks' coefficients u and w in place by the angles
-    s h and returns the new sector array; cos(s h) and sin(s h) are computed
-    once for each distinct h.
+    It keeps U, W, s and psi's coefficients u0 = U^T x_even and w0 = W^T x_odd,
+    and each call turns u0 and w0 by the angles s t; no call changes them.
 
     The fold (see the module docstring) maps cell (n0, m) to index c of block
     (n0 + m) mod P, c = m if d0 >= M, else c = n0, at pos = c // 2 for even c
     and E + c // 2 for odd c, E = ceil(L/2).  G takes p = (a + 1, m) to
     q = (a, m + 1) with weight chi * hop[a, m], and q to p with its negative;
     B, shape (P, J, E, L // 2), holds G's entries from odd cells to even ones.
-    U and Wt hold about half of P * J * L^2 float64, but B, U, Wt and the SVD's
-    temporaries are live at once, so the peak is about P * J * L^2 float64;
-    ValidationError, before any decomposition, if P * J * L^2 would exceed
-    2 * MAX_TOTAL_DIM float64, as many bytes as the largest dense state.
+    U and W hold about half of P * J * L^2 float64, but B, U and Wt are live with
+    the SVD's temporaries, then with U's transposed copy, so the peak is about
+    P * J * L^2 float64; ValidationError, before any decomposition, if P * J * L^2
+    would exceed 2 * MAX_TOTAL_DIM float64, as many bytes as the largest dense state.
     """
     d0, M, J = psi.shape
     P, L = max(d0, M), min(d0, M)
@@ -120,46 +124,41 @@ def _chain_stepper(psi, layout, chi):
     sign = np.where(q < p, chi, -chi)[..., None]
     B[block[1:, :-1], :, np.minimum(p, q), np.maximum(p, q) - E] = sign * hop
     U, s, Wt = np.linalg.svd(B)
+    # U kept transposed, as W is: its product with the transposed rows is then ~3x faster
+    U, W = np.ascontiguousarray(U.swapaxes(-1, -2)).swapaxes(-1, -2), Wt.swapaxes(-1, -2)
 
-    # the fold is a permutation, so this sets every cell.  U and Wt are real: they
-    # multiply real and imaginary parts as two real columns, x's float64 view
-    x = np.empty((P, J, L, 2))
-    x.view(np.complex128)[..., 0][block, :, pos] = psi
-    u, w = np.matmul(U.swapaxes(-1, -2), x[..., :E, :]), np.matmul(Wt, x[..., E:, :])
-    u_paired = u[..., :F, :]  # for odd L, u's last row pairs with no s and never moves
-    # s once per column: a product broadcast over the length-2 column axis is slow
-    s = np.repeat(s[..., None], 2, axis=-1)
-    rotations = {}
+    # U and W are real: they act on psi's real and imaginary parts as two rows, along
+    # which cos(s t) and sin(s t) broadcast (a length-2 last axis is slow to broadcast)
+    x = np.empty((P, J, 2, L))
+    x[block, :, 0, pos], x[block, :, 1, pos] = psi.real, psi.imag  # the fold sets every cell
+    u0, w0 = x[..., :E] @ U, x[..., E:] @ W  # for odd L, u0's last pairs with no s
 
-    def step(h):
-        if h not in rotations:
-            rotations[h] = np.cos(h * s), np.sin(h * s)
-        cos, sin = rotations[h]
-        u_paired[...], w[...] = cos * u_paired + sin * w, cos * w - sin * u_paired
-        out = np.concatenate((np.matmul(U, u), np.matmul(Wt.swapaxes(-1, -2), w)), axis=-2)
+    def at(t):
+        tan = np.tan(0.5 * t * s)  # cos and sin of s t from tan(s t / 2): one call, not two
+        sec2 = 1.0 + tan * tan
+        cos, sin = ((2.0 - sec2) / sec2)[..., None, :], (2.0 * tan / sec2)[..., None, :]
+        u = np.concatenate((cos * u0[..., :F] + sin * w0, u0[..., F:]), axis=-1)
+        w = cos * w0 - sin * u0[..., :F]
+        out = np.concatenate((U @ u.swapaxes(-1, -2), W @ w.swapaxes(-1, -2)), axis=-2)
         return out.view(np.complex128)[..., 0][block, :, pos]
 
-    return step
+    return at
 
 
 def evolve(s0, spec):
-    """exp(G t) s0 at t = k dt, k = 0, r, 2 r, ..., steps (r = record_every), exact at each.
+    """exp(G t) s0 at each of ``spec.times()``, read from one spectrum of the blocks.
 
-    Only those times are computed.  The final state never shares its sector
-    array with s0.  Nothing scatters to the dense grid.  Raises
-    ValidationError when the blocks' singular vectors would not fit (see
-    ``_chain_stepper``).
+    So a record does not depend on ``dt`` or ``record_every``, and only the
+    recorded times are computed.  The final state never shares its sector array
+    with s0.  Nothing scatters to the dense grid.  ValidationError when the
+    blocks' singular vectors would not fit (see ``_chain_spectrum``).
     """
     psi, layout = s0.psi, s0.layout
-    step = _chain_stepper(psi, layout, spec.params.chi)
-    times, obs = [0.0], [measure(s0)]
-    r, k0 = spec.record_every, 0
-    for k in range(r, spec.steps + r, r):
-        k = min(k, spec.steps)
-        psi = step((k - k0) * spec.dt)
-        times.append(k * spec.dt)
+    at = _chain_spectrum(psi, layout, spec.params.chi)
+    times, obs = spec.times(), [measure(s0)]
+    for t in times[1:]:
+        psi = at(t)
         obs.append(measure(PureState.from_sectors(psi, layout)))
-        k0 = k
 
     return ExactTrajectory(
         times=np.asarray(times),
@@ -180,7 +179,7 @@ def rate_of(s0, params, f):
     ``lambda s: measure(s).disp_plus``.
     Central differences with steps h and h/2 are combined to fourth order,
     with h = 1e-3 / (chi * max(1, |<a0>|, <N>)).  The four states, at +-h and
-    +-h/2, are exact and come from one SVD of the blocks (``_chain_stepper``).
+    +-h/2, are exact and read from one spectrum of the blocks (``_chain_spectrum``).
     Raises NoisyDerivativeError (carrying both estimates) when their error
     estimate |d(h/2) - d(h)| / 3 exceeds 1e-4 * max(1, |rate|).
     """
@@ -188,10 +187,9 @@ def rate_of(s0, params, f):
         return 0.0
     o = measure(s0)
     h = 1e-3 / (params.chi * max(1.0, abs(o.pump_amp), o.total_n))
-    step = _chain_stepper(s0.psi, s0.layout, params.chi)
-    # the stepper advances one state: h/2, h, then back to -h/2 and -h
-    f_h2, f_h, f_mh2, f_mh = (f(PureState.from_sectors(step(t), s0.layout))
-                              for t in (h / 2.0, h / 2.0, -1.5 * h, -h / 2.0))
+    at = _chain_spectrum(s0.psi, s0.layout, params.chi)
+    f_h2, f_h, f_mh2, f_mh = (f(PureState.from_sectors(at(t), s0.layout))
+                              for t in (h / 2.0, h, -h / 2.0, -h))
     d_h = (f_h - f_mh) / (2.0 * h)
     d_h2 = (f_h2 - f_mh2) / h
     rich = (4.0 * d_h2 - d_h) / 3.0

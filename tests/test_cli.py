@@ -803,6 +803,23 @@ def test_coarse_model_grid_refused_before_integrating(tmp_path, capsys, monkeypa
     assert match in record["message"]
 
 
+def test_compare_refuses_an_overflowing_model_before_the_exact_run(tmp_path, capsys,
+                                                                   monkeypatch):
+    # tau = chi alpha t_stop = 500: the closed form overflows, so the blocks of the
+    # (170, 170) box are never decomposed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact run started")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    text = "alpha = 10\nchi = 0.05\nt_stop = 1000\ndt = 10\nd0 = 170\npair_dim = 170\n"
+    cfg, out = write_cfg(tmp_path / "c.cfg", text), tmp_path / "out.csv"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert not out.exists()
+    assert json.loads(line) == {"error": "NumericalError",
+                                "message": "the closed form overflows float64 at |tau| = 500.0"}
+
+
 PHASES = "conservative bound on the recorded times and the propagator's phases"
 ROWS = "rows, more than the 100000 a run may write"
 

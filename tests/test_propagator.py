@@ -59,6 +59,23 @@ def _small_box():
     return initial_state("vacuum", 0.0, 1.0, 0, 4)
 
 
+def _random_state(shape, seed):
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return PureState(TruncationConfig(*shape), grid.reshape(-1))
+
+
+def _assert_sparse_records_are_full_records(s0, chi, dt, steps, record_every):
+    """The run at record_every holds the full run's records at their shared times, bit for bit."""
+    params = HamiltonianParams(chi)
+    full = evolve(s0, EvolutionSpec(params, dt=dt, steps=steps))
+    sparse = evolve(s0, EvolutionSpec(params, dt=dt, steps=steps, record_every=record_every))
+    at = [*range(0, steps, record_every), steps]  # the tail record at the last step
+    np.testing.assert_array_equal(sparse.times, full.times[at])
+    assert sparse.observables == [full.observables[k] for k in at]
+    np.testing.assert_array_equal(sparse.final_state.psi, full.final_state.psi)
+
+
 log_uniform = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
 
 
@@ -83,6 +100,15 @@ def test_spec_refuses_or_every_record_is_finite(chi, dt, sign, steps):
     assert np.all(np.isfinite([(o.norm, o.leakage) for o in traj.observables]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5)),
+       st.integers(0, 2**32 - 1), st.floats(0.01, 2.0),
+       st.floats(-0.5, 0.5).filter(lambda dt: dt != 0.0), st.integers(0, 30), st.integers(1, 30))
+def test_records_at_shared_times_are_bit_identical(shape, seed, chi, dt, steps, record_every):
+    _assert_sparse_records_are_full_records(_random_state(shape, seed), chi, dt, steps,
+                                            record_every)
+
+
 class TestEvolve:
     def test_zero_coupling_is_identity(self):
         s0 = product_state(coherent(1.0, 15), twb(0.3, 12))
@@ -99,10 +125,14 @@ class TestEvolve:
     def test_step_count_only_sets_the_output_grid(self):
         s0 = product_state(coherent(2.0, 25), twb(0.3, 14))
         params = HamiltonianParams(0.3)
+        ns = (1, 4, 100)
+        # n (1 / n) is exactly 1.0 for each n, so each final state is exp(G t) s0 at
+        # the same t = 1.0, read from the same spectrum
+        assert all(n * (1.0 / n) == 1.0 for n in ns)
         finals = [evolve(s0, EvolutionSpec(params, dt=1.0 / n, steps=n)).final_state.amplitudes
-                  for n in (1, 4, 100)]
-        assert np.max(np.abs(finals[1] - finals[0])) < 1e-12
-        assert np.max(np.abs(finals[2] - finals[0])) < 1e-12
+                  for n in ns]
+        np.testing.assert_array_equal(finals[1], finals[0])
+        np.testing.assert_array_equal(finals[2], finals[0])
 
     def test_time_reversal(self):
         s0 = product_state(coherent(1.5, 20), twb(0.3, 14))
@@ -151,7 +181,7 @@ class TestEvolve:
             evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.1, steps=1))
 
     def test_refusal_counts_the_stepper_peak(self):
-        # B, U, Wt and the SVD's temporaries are live at once: the stepper's peak is
+        # B, U, Wt and the SVD's temporaries are live at once: the spectrum's peak is
         # about the P J L^2 float64 that the refusal rule counts, not half of it
         shape = (30, 30, 30)
         rng = np.random.default_rng(3)
@@ -164,7 +194,7 @@ class TestEvolve:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            propagator._chain_stepper(s0.psi, s0.layout, 0.3)(0.1)
+            propagator._chain_spectrum(s0.psi, s0.layout, 0.3)(0.1)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -205,11 +235,9 @@ class TestEvolve:
         for traj in (every, at_end, once):
             assert 0.0 <= traj.leakage <= 1.0
             assert traj.norm_drift < 1e-12
-        assert at_end.observables[-1].leakage == pytest.approx(once.observables[-1].leakage,
-                                                               abs=1e-12)
-        # phases w t near 1e8 carry rounding near 1e-8, whichever way t is reached
-        assert every.observables[-1].leakage == pytest.approx(once.observables[-1].leakage,
-                                                              abs=1e-8)
+        # all three read the spectrum at t = 50 * 1e6 = 5e7
+        assert at_end.observables[-1].leakage == once.observables[-1].leakage
+        assert every.observables[-1].leakage == once.observables[-1].leakage
 
     def test_extremes_are_those_of_the_records(self):
         # vacuum pair on four levels: probability reaches the pair edge and leaves it
@@ -222,38 +250,34 @@ class TestEvolve:
 
     def test_sparse_records_match_every_step_records(self):
         s0 = product_state(coherent(1.5, 20), twb(0.3, 14))
-        params = HamiltonianParams(0.2)
-        full = evolve(s0, EvolutionSpec(params, dt=0.05, steps=50))
-        sparse = evolve(s0, EvolutionSpec(params, dt=0.05, steps=50, record_every=7))
-        at = [*range(0, 50, 7), 50]  # the tail record at step 50
-        np.testing.assert_array_equal(sparse.times, full.times[at])
-        for name in ("norm", "leakage"):
-            np.testing.assert_allclose([getattr(o, name) for o in sparse.observables],
-                                       [getattr(full.observables[k], name) for k in at],
-                                       rtol=0, atol=1e-12)
-        for got, want in zip(sparse.observables, [full.observables[k] for k in at]):
-            np.testing.assert_allclose(np.array(got, dtype=complex), np.array(want, dtype=complex),
-                                       rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sparse.final_state.psi, full.final_state.psi,
-                                   rtol=0, atol=1e-12)
+        _assert_sparse_records_are_full_records(s0, 0.2, 0.05, 50, 7)
 
-    @pytest.mark.parametrize("record_every, spans", [
-        (10**6, [10**6]), (6 * 10**5, [6 * 10**5, 4 * 10**5]),
+    @pytest.mark.parametrize("s0, chi, dt, steps", [
+        (initial_state("twb", 0.5, 4.0, 0, 40), 0.1, 0.01, 200),
+        # block 2 holds chains K = 2 and K = 10, so some blocks hold two chains
+        (_random_state((8, 6, 6), 11), 0.7, 0.05, 60),
+    ], ids=["trajectory", "two-chain-block"])
+    @pytest.mark.parametrize("record_every", [1, 7, 20])
+    def test_records_do_not_depend_on_the_output_grid(self, s0, chi, dt, steps, record_every):
+        _assert_sparse_records_are_full_records(s0, chi, dt, steps, record_every)
+
+    @pytest.mark.parametrize("record_every, ks", [
+        (10**6, [10**6]), (6 * 10**5, [6 * 10**5, 10**6]),
     ])
-    def test_unrecorded_steps_are_never_computed(self, monkeypatch, record_every, spans):
-        calls, chain_stepper = [], propagator._chain_stepper
+    def test_unrecorded_steps_are_never_computed(self, monkeypatch, record_every, ks):
+        calls, chain_spectrum = [], propagator._chain_spectrum
 
         def counting(*args):
-            step = chain_stepper(*args)
-            return lambda h: calls.append(h) or step(h)
+            at = chain_spectrum(*args)
+            return lambda t: calls.append(t) or at(t)
 
-        monkeypatch.setattr(propagator, "_chain_stepper", counting)
+        monkeypatch.setattr(propagator, "_chain_spectrum", counting)
         s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
         dt = 1e-6
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=dt, steps=10**6,
                                         record_every=record_every))
-        assert calls == [k * dt for k in spans]
-        assert len(traj.times) == len(spans) + 1 and traj.times[-1] == 10**6 * dt
+        assert calls == [k * dt for k in ks]
+        assert len(traj.times) == len(ks) + 1 and traj.times[-1] == 10**6 * dt
 
     def test_recording_cadence(self):
         s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
@@ -398,17 +422,17 @@ class TestRateOfOneDiagonalization:
 
     def test_one_stepper_and_no_evolve(self, monkeypatch):
         steppers, evolves = [], []
-        chain_stepper = propagator._chain_stepper
+        chain_spectrum = propagator._chain_spectrum
 
         def counting_stepper(*args):
             steppers.append(args)
-            return chain_stepper(*args)
+            return chain_spectrum(*args)
 
         def counting_evolve(*args):
             evolves.append(args)
             return evolve(*args)
 
-        monkeypatch.setattr(propagator, "_chain_stepper", counting_stepper)
+        monkeypatch.setattr(propagator, "_chain_spectrum", counting_stepper)
         monkeypatch.setattr(propagator, "evolve", counting_evolve)
         s0 = initial_state("twb", 0.4, 2.0, 0, 20)
         rate_of(s0, HamiltonianParams(0.1), lambda s: measure(s).disp_plus)
