@@ -249,11 +249,11 @@ def cmd_compare(cfg):
     model = closed_form_trajectory(PumpProfile.constant(alpha), chi, spec.times())
     traj = evolve(s0, spec)
     columns = ["t", "n_exact", "n_model", "rel_dev_n",
-               "abs_pair_amp_exact", "lambda_model", "rel_dev_lambda"]
-    n_e = np.array([o.total_n for o in traj.observables])
-    l_e = np.array([abs(o.pair_amp) for o in traj.observables])
+               "abs_pair_amp_exact", "lambda_model", "rel_dev_lambda", "leakage"]
+    n_e, l_e, leak = np.array([(o.total_n, abs(o.pair_amp), o.leakage)
+                               for o in traj.observables]).T
     rows = np.column_stack((traj.times, n_e, model.N, _rel_dev(n_e, model.N),
-                            l_e, model.Lambda, _rel_dev(l_e, model.Lambda))).tolist()
+                            l_e, model.Lambda, _rel_dev(l_e, model.Lambda), leak)).tolist()
     return columns, rows, 0
 
 

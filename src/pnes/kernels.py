@@ -50,12 +50,14 @@ class SectorLayout:
         n2 = m + np.maximum(-delta, 0)
         length = np.minimum(d1 - n1[0], d2 - n2[0])
         self.valid = m < length
+        # each cell's occupations, 0 on padding
+        self.n1, self.n2 = np.where(self.valid, n1, 0), np.where(self.valid, n2, 0)
         # flat (n1, n2) index of each cell; padding points at cell 0 and is zeroed
-        self.index = np.where(self.valid, n1 * d2 + n2, 0)
+        self.index = self.n1 * d2 + self.n2
         self.n0 = np.arange(d0, dtype=float)
         self.delta = delta.astype(float)
-        self.n1n2 = np.where(self.valid, n1 * n2, 0).astype(float)
-        self.nsum = np.where(self.valid, n1 + n2, 0).astype(float)
+        self.n1n2 = (self.n1 * self.n2).astype(float)
+        self.nsum = (self.n1 + self.n2).astype(float)
         # A A+ is diagonal with weight (n1+1)(n2+1), zero on the raise boundary;
         # A = a1 a2 takes m + 1 to m with the square root of it
         self.raise_w = np.where(m + 1 < length, (n1 + 1.0) * (n2 + 1.0), 0.0)

@@ -185,29 +185,21 @@ def closed_form_trajectory(p, chi, t_grid):
     return ModelTrajectory(np.asarray(t_grid, dtype=float), tau, *closed_form(tau))
 
 
-def _rk4_pass(p, chi, t_grid, n_sub):
-    """RK4 with n_sub substeps per piece, one 3x3 step matrix per substep.
+def _rk4_pass(p, powers, edges, n_sub):
+    """(Lambda, N) at every edge, by RK4 with n_sub substeps per piece between edges.
 
-    The pieces are the grid intervals split at the profile's breakpoints.
     Each substep column evaluates the pump at its middle and end stages for
-    all pieces (its start stage is the previous column's end, the same
-    time) and multiplies the step matrices into each piece's product; a
-    log-depth prefix product over the pieces then gives the state at every
-    edge.  The
-    stage times are those of scalar RK4, each moved one ulp toward its piece's
-    midpoint: the substep time advances by h and the last substep ends exactly
-    at the piece's right end.
+    all pieces (its start stage is the previous column's end, the same time)
+    and multiplies the step matrices, coefficient rows times the rows of A^0
+    .. A^4 in ``powers``, into each piece's product; a log-depth prefix
+    product over the pieces then gives the state at every edge.  The stage
+    times are those of scalar RK4, each moved one ulp toward its piece's
+    midpoint: the substep time advances by h and the last substep ends
+    exactly at the piece's right end.
     """
-    breaks = np.asarray(p.breakpoints(), dtype=float)
-    k = np.searchsorted(t_grid, breaks)
-    inside = (k > 0) & (k < t_grid.size)
-    inside[inside] = t_grid[k[inside]] != breaks[inside]  # a grid point is no new edge
-    edges = np.sort(np.concatenate((t_grid, breaks[inside])))
     lo, hi = edges[:-1], edges[1:]
     h = (hi - lo) / n_sub
     mid = 0.5 * (lo + hi)
-    A = np.array([[0.0, chi, chi], [4.0 * chi, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    powers = np.stack([np.linalg.matrix_power(A, j) for j in range(5)]).reshape(5, 9)
     prod = np.eye(3)
     t = lo
     s1 = h * p.amplitude(np.nextafter(t, mid))
@@ -223,9 +215,7 @@ def _rk4_pass(p, chi, t_grid, n_sub):
         prod[shift:] = prod[shift:] @ prod[:-shift]
         shift *= 2
     # the start is z = (0, 0, 1), so (Lambda, N) at an edge is its product's last column
-    at = np.searchsorted(edges, t_grid[1:]) - 1
-    return (np.concatenate(([0.0], prod[at, 0, 2])),
-            np.concatenate(([0.0], prod[at, 1, 2])))
+    return np.concatenate(([[0.0, 0.0]], prod[:, :2, 2]))
 
 
 def integrate_model(p, chi, t_grid, assume_zero_initial=False):
@@ -252,7 +242,9 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
     so a piece end.  A grid whose longest interval needs more than 100 000
     substeps raises ValidationError before any is taken, and so does one that
     starts inside or after a pulse (|tau(t0)| > 1e-14), since the start is
-    the vacuum (assume_zero_initial=True skips that check).  Step halving
+    the vacuum (assume_zero_initial=True skips that check).  A grid that ends
+    past a sampled pump's last sample raises ExtrapolationError at its last
+    time, also before any substep.  Step halving
     checks accuracy (StepSizeError above 1e-8 * max(1, |value|)), and a state
     that overflows float64 raises NumericalError.
     """
@@ -274,16 +266,21 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
         raise ValidationError(f"the pump area tau = {tau0!r} does not vanish at t0={float(t_grid[0])!r}: "
                               "the model starts from vacuum, so the grid must start before the pump")
     n_sub = max(4, math.ceil(work))
+    breaks = np.asarray(p.breakpoints(), dtype=float)  # the pieces: the grid split at them
+    edges = np.sort(np.concatenate((t_grid, breaks[(breaks > t_grid[0]) & (breaks < t_grid[-1])])))
+    edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]  # a grid point is no new edge
+    A = np.array([[0.0, chi, chi], [4.0 * chi, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    powers = np.stack([np.linalg.matrix_power(A, j) for j in range(5)]).reshape(5, 9)
+    at = np.searchsorted(edges, t_grid)  # each grid point's edge
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        l1, n1 = _rk4_pass(p, chi, t_grid, n_sub)
-        l2, n2 = _rk4_pass(p, chi, t_grid, 2 * n_sub)
-        err = max(float(np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))))
-                  for coarse, fine in ((l1, l2), (n1, n2)))
-    overflow = ~(np.isfinite(l2) & np.isfinite(n2))
+        p.amplitude(t_grid[-1])  # past a sampled pump's support this raises at the grid's time
+        coarse, fine = (_rk4_pass(p, powers, edges, n)[at] for n in (n_sub, 2 * n_sub))
+        err = float(np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))))
+    overflow = ~np.isfinite(fine).all(axis=1)
     if overflow.any():
         raise NumericalError(f"the model overflows float64 by t={float(t_grid[overflow.argmax()])!r}")
     if not err <= _ODE_TOL:  # also when err is nan
         raise StepSizeError(
             f"step-halving error estimate {err:.3e} exceeds {_ODE_TOL:.0e} * max(1, |value|)"
         )
-    return ModelTrajectory(t_grid, None, l2, n2)
+    return ModelTrajectory(t_grid, None, *fine.T)

@@ -113,9 +113,14 @@ def disp_plus_rate(s, chi):
 
 
 def photon_number_distribution(s, mode):
-    """Marginal photon-number distribution of one mode of a PureState; sums to 1."""
+    """Marginal photon-number distribution of one mode of a PureState; sums to 1.
+    Read from the sectors: a pair mode bins each cell's probability by its n1 or n2."""
     if mode not in (0, 1, 2):
         raise ValidationError(f"mode must be 0, 1 or 2, got {mode!r}")
-    axes = tuple(ax for ax in (0, 1, 2) if ax != mode)
-    return np.sum(np.abs(s.grid()) ** 2, axis=axes)
+    lay = s.layout
+    p = s.psi.real**2 + s.psi.imag**2
+    if mode == 0:
+        return p.sum(axis=(1, 2))
+    n = lay.n1 if mode == 1 else lay.n2
+    return np.bincount(n.ravel(), weights=p.sum(axis=0).ravel(), minlength=lay.shape[mode])
 

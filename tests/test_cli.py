@@ -289,6 +289,8 @@ class TestEvolveModel:
         assert main(["evolve-model", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ExtrapolationError"
+        # named by the grid's own last time, not by an RK4 stage time inside [2, 2.5]
+        assert record["message"] == "sampled profile queried at t=3.0 past its support end 2.0"
 
     @pytest.mark.parametrize("times", ["0, 1, 2.5", "0, 1, 3"],
                              ids=["grid-ends-on-last-sample", "kink-inside-interval"])
@@ -416,6 +418,22 @@ class TestCompare:
         j = columns.index("rel_dev_n")
         assert float(rows[0][j]) == 0.0
         assert max(float(r[j]) for r in rows) < 0.01
+
+    def test_leakage_is_the_last_column_and_evolve_exacts_leakage(self, tmp_path):
+        # compare's exact run is evolve-exact's from the vacuum pair: same times, same leakage
+        cfg, out = write_cfg(tmp_path / "c.cfg", COMPARE_CFG), tmp_path / "out.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        assert columns == ["t", "n_exact", "n_model", "rel_dev_n", "abs_pair_amp_exact",
+                           "lambda_model", "rel_dev_lambda", "leakage"]
+        exact_text = COMPARE_CFG.replace("t_stop = 0.5", "steps = 50") + "family = vacuum\n"
+        exact_cfg, exact_out = write_cfg(tmp_path / "e.cfg", exact_text), tmp_path / "e.csv"
+        assert main(["evolve-exact", "--config", exact_cfg, "--out", str(exact_out)]) == 0
+        _, exact_columns, exact_rows = read_csv(exact_out)
+        for c, e in (("t", "t"), ("leakage", "leakage"), ("n_exact", "total_n")):
+            assert ([r[columns.index(c)] for r in rows]
+                    == [r[exact_columns.index(e)] for r in exact_rows])
+        assert 0 < float(rows[-1][-1]) < 1e-6
 
     def test_fractional_step_count_rejected(self, tmp_path, capsys):
         text = COMPARE_CFG.replace("t_stop = 0.5", "t_stop = 0.505")

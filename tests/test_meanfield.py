@@ -305,6 +305,16 @@ class TestIntegrateModel:
         with pytest.raises(ValidationError, match=r"\[-1.0, 1000.0\] needs 4e\+05 .* peak 1.0"):
             integrate_model(PumpProfile.rectangular(1.0, 2.0), 1.0, [-1.0, 1000.0])
 
+    def test_refuses_a_grid_past_the_pump_support_before_any_substep(self, monkeypatch):
+        # an RK4 stage would first read the pump at 1.0000000000000002 and name that time
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model was integrated")
+
+        monkeypatch.setattr(meanfield, "_rk4_pass", refuse)
+        p = PumpProfile.sampled([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ExtrapolationError, match=r"queried at t=1\.5 past its support end 1\.0"):
+            integrate_model(p, 0.1, np.linspace(-1.0, 1.5, 3))
+
 
 class _PumpInterface:
     """A pump offering only what the model integrator may read of it."""
@@ -325,6 +335,16 @@ def test_integrator_reads_the_pump_only_through_its_interface(p):
     got = integrate_model(_PumpInterface(p), 0.4, grid, assume_zero_initial=True)
     for g, w in ((got.Lambda, want.Lambda), (got.N, want.N)):
         assert g.tobytes() == w.tobytes()
+
+
+def test_integrator_reads_the_breakpoints_once():
+    # both step-halving passes share one set of pieces
+    calls = []
+    p = _PumpInterface(PumpProfile.sampled([0.25, 0.5, 2.0], [1.0, 0.0, 0.4]))
+    breakpoints = p.breakpoints
+    p.breakpoints = lambda: calls.append(1) or breakpoints()
+    integrate_model(p, 0.4, np.linspace(-0.25, 2.0, 7), assume_zero_initial=True)
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

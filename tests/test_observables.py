@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pnes import kernels
 from pnes.errors import ValidationError
 from pnes.fock import PureState, TruncationConfig, basis_state
 from pnes.observables import (
@@ -114,6 +115,32 @@ class TestPhotonNumberDistribution:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValidationError):
             photon_number_distribution(twb(0.2, 10), 3)
+
+    @pytest.mark.parametrize("shape", [(4, 5, 3), (3, 2, 6), (5, 4, 4)])
+    @pytest.mark.parametrize("sectors", ["all", "some"])
+    def test_matches_the_dense_marginal(self, shape, sectors):
+        # several sectors of unequal lengths; "some" leaves every third n1 - n2 empty
+        rng = np.random.default_rng(sum(shape))
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if sectors == "some":
+            amps[:, np.subtract.outer(np.arange(shape[1]), np.arange(shape[2])) % 3 == 0] = 0.0
+        s = PureState(TruncationConfig(*shape), (amps / np.linalg.norm(amps)).reshape(-1))
+        p = np.abs(s.grid()) ** 2
+        for mode in (0, 1, 2):
+            want = p.sum(axis=tuple(ax for ax in (0, 1, 2) if ax != mode))
+            np.testing.assert_allclose(photon_number_distribution(s, mode), want, rtol=0, atol=1e-15)
+
+    def test_reads_the_sectors_not_the_dense_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the state was scattered to the dense grid")
+
+        s = product_state(coherent(1.0, 15), twb(0.4, 20))
+        p = np.abs(s.grid()) ** 2
+        want = [p.sum(axis=(1, 2)), p.sum(axis=(0, 2)), p.sum(axis=(0, 1))]
+        monkeypatch.setattr(kernels, "scatter", refuse)
+        for mode in (0, 1, 2):
+            np.testing.assert_allclose(photon_number_distribution(s, mode), want[mode],
+                                       rtol=0, atol=1e-15)
 
 
 class TestModelConsistencyIdentity:
