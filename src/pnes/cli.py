@@ -20,12 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dispersion import DispersionReport, build_report
 from .errors import NumericalError, ValidationError
 from .fock import MAX_ROWS, HamiltonianParams
-from .meanfield import PumpProfile, closed_form_trajectory, integrate_model
-from .propagator import EvolutionSpec, evolve
-from .states import initial_state
 
 REQUIRED = object()
 
@@ -171,10 +167,12 @@ def write_output(out, fmt, command, raw_config, columns, rows):
 
 def _build_exact_state(cfg):
     """The config's coherent(alpha) x family(param) on (d0, pair_dim), as sectors."""
+    from .states import initial_state
     return initial_state(cfg["family"], cfg["param"], cfg["alpha"], cfg["d0"], cfg["pair_dim"])
 
 
 def cmd_evolve_exact(cfg):
+    from .propagator import EvolutionSpec, evolve
     spec = EvolutionSpec(HamiltonianParams(cfg["chi"]), dt=cfg["dt"], steps=cfg["steps"],
                          record_every=cfg["record_every"])
     traj = evolve(_build_exact_state(cfg), spec)
@@ -190,12 +188,14 @@ def cmd_evolve_exact(cfg):
 
 
 def _build_profile(cfg):
+    from .meanfield import PumpProfile
     return PumpProfile(cfg["profile"], a=cfg["amplitude"], T=cfg["duration"],
                        t_center=cfg["center"], width=cfg["width"],
                        times=cfg["profile_times"], values=cfg["profile_values"])
 
 
 def cmd_evolve_model(cfg):
+    from .meanfield import closed_form_trajectory, integrate_model
     profile = _build_profile(cfg)
     t_start, t_stop, n_points = cfg["t_start"], cfg["t_stop"], cfg["n_points"]
     if not (math.isfinite(t_stop - t_start) and 2 <= n_points <= MAX_ROWS):  # inf or nan ends too
@@ -240,6 +240,8 @@ def _step_count(t_stop, dt):
 
 
 def cmd_compare(cfg):
+    from .meanfield import PumpProfile, closed_form_trajectory
+    from .propagator import EvolutionSpec, evolve
     alpha, chi = cfg["alpha"], cfg["chi"]
     steps = _step_count(cfg["t_stop"], cfg["dt"])
     spec = EvolutionSpec(HamiltonianParams(chi), dt=cfg["dt"], steps=steps,
@@ -257,9 +259,6 @@ def cmd_compare(cfg):
     return columns, rows, 0
 
 
-_REPORT_FIELDS = list(DispersionReport._fields)
-
-
 def _check_rows(what, rows):
     """ValidationError, before any point is evaluated, for more than MAX_ROWS rows."""
     if rows > MAX_ROWS:
@@ -268,26 +267,29 @@ def _check_rows(what, rows):
 
 
 def cmd_dispersion(cfg):
+    from .dispersion import DispersionReport, build_report
     _check_rows("params", len(cfg["params"]))
     rows = [build_report(cfg["family"], param, cfg["chi"], cfg["alpha"])
             for param in cfg["params"]]
-    return _REPORT_FIELDS, rows, 0
+    return list(DispersionReport._fields), rows, 0
 
 
 def _scan_row(family, param, chi, alpha):
     """One scan CSV row; its last cell is "ok" or the error of a failed point."""
+    from .dispersion import DispersionReport, build_report
     try:
         return [*build_report(family, param, chi, alpha), "ok"]
     except (ValidationError, NumericalError) as exc:
         # keep the status cell free of CSV separators
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        cells = dict.fromkeys(_REPORT_FIELDS, math.nan)
+        cells = dict.fromkeys(DispersionReport._fields, math.nan)
         cells.update(family=family, param=param, chi=chi, alpha=alpha, ratios_defined=False)
         return [*cells.values(), msg]
 
 
 def cmd_scan(cfg):
     """Every grid point, in grid order; exit code 3 when a row's status is not "ok"."""
+    from .dispersion import DispersionReport
     shape = [len(cfg[key]) for key in ("chi_values", "alpha_values", "params")]
     _check_rows("a {} x {} x {} scan".format(*shape), math.prod(shape))
     rows = [
@@ -296,7 +298,8 @@ def cmd_scan(cfg):
         for alpha in cfg["alpha_values"]
         for param in cfg["params"]
     ]
-    return _REPORT_FIELDS + ["status"], rows, 3 if any(row[-1] != "ok" for row in rows) else 0
+    code = 3 if any(row[-1] != "ok" for row in rows) else 0
+    return [*DispersionReport._fields, "status"], rows, code
 
 
 # command -> runner(cfg) returning (columns, rows, exit code)

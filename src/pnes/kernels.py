@@ -54,20 +54,24 @@ class SectorLayout:
         self.n1, self.n2 = np.where(self.valid, n1, 0), np.where(self.valid, n2, 0)
         # flat (n1, n2) index of each cell; padding points at cell 0 and is zeroed
         self.index = self.n1 * d2 + self.n2
-        self.n0 = np.arange(d0, dtype=float)
-        self.delta = delta.astype(float)
         self.n1n2 = (self.n1 * self.n2).astype(float)
-        self.nsum = (self.n1 + self.n2).astype(float)
         # A A+ is diagonal with weight (n1+1)(n2+1), zero on the raise boundary;
         # A = a1 a2 takes m + 1 to m with the square root of it
         self.raise_w = np.where(m + 1 < length, (n1 + 1.0) * (n2 + 1.0), 0.0)
         self.pair_w = np.sqrt(self.raise_w)
         self.pair2_w = self.pair_w[:-2] * self.pair_w[1:-1]
-        self.pump_w = np.sqrt(self.n0[1:])[:, None, None]
+        n0 = np.arange(d0, dtype=float)
+        self.pump_w = np.sqrt(n0[1:])[:, None, None]
+        # the weight vectors observables.records applies to |psi|^2: N, n1 - n2, A+ A
+        # and A A+ on each pair cell, then n0 and 1 (the norm^2) on each pump level
+        pair = np.broadcast_arrays(self.n1 + self.n2, delta, self.n1n2, self.raise_w)
+        self.pair_moments = np.stack(pair).reshape(4, -1).astype(float)
+        self.pump_moments = np.stack((n0, np.ones(d0)))
         # the cells G maps out of the box: a1 a2 a0+ from the pump edge n0 = d0 - 1
         # with n1 n2 > 0, a1+ a2+ a0 from each sector's last pair level with n0 > 0
-        n0 = np.arange(d0)[:, None, None]
+        n0 = n0[:, None, None]
         self.edge = (n0 == d0 - 1) & (self.n1n2 > 0) | (n0 > 0) & (m == length - 1)
+        self.edge_w = self.edge.reshape(-1).astype(float)  # its weight vector
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False

@@ -11,10 +11,12 @@ cost follows the occupied n1 - n2 sectors, not the dense grid:
     Q   = a0 + a0+         pump quadrature
     K   = n0 + (n1+n2)/2   conserved total excitation
 
-``measure`` is the one reader of a state: from |psi|^2 it computes every
-moment together with the norm and the leakage, the probability on the edge
-cells (``SectorLayout.edge``) from which one application of G leaves the
-box, and returns them as an ``ObservableSet``, a NamedTuple; read one as
+``records`` is the one reader of states: from real rows holding any number
+of records (``rows``; one row for a real state), it computes every moment
+together with the norm and the leakage, the probability on the edge cells
+(``SectorLayout.edge``) from which one application of G leaves the box, for
+all records at once, and returns an ``ObservableSet``, a NamedTuple, per
+record.  ``measure(s)`` is its call on one state; read one as
 ``measure(s).<field>``.  ``expect_pair_amplitude`` and
 ``expect_total_number`` read the two fields the model compares against.
 A A+ and A+ A are diagonal in the Fock basis ((n1+1)(n2+1) and n1 n2), so
@@ -48,37 +50,66 @@ class ObservableSet(NamedTuple):
     leakage: float
 
 
-def measure(s):
-    """All observables of one state, its norm and its leakage, from one |psi|^2.
+def rows(psi):
+    """psi's real rows, shaped psi.shape + (rows, 1): its real part, then its imaginary
+    part unless that is zero everywhere, so a real state is one row."""
+    if not psi.imag.any():
+        return psi.real[..., None, None]
+    return np.stack((psi.real, psi.imag), axis=-1)[..., None]
 
-    A A+ and A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the
-    A A+ weight is zeroed on the raise boundary so the dispersions agree
-    with the truncated operators (and with the dense oracle) everywhere.
+
+def _overlap(a, b, w, axes):
+    """<a| w b> per record, for real rows a and b shaped (..., rows, records) and weights
+    w that vary only along the axes not in ``axes``: the products of the rows are
+    summed over ``axes`` and the rows, then contracted with w in one product."""
+    w, shape = w.reshape(-1), (w.size, a.shape[-1])
+    z = (w @ (a * b).sum(axis=(*axes, -2)).reshape(shape)).astype(np.complex128)
+    if a.shape[-2] == 2:  # the imaginary part, zero for one row
+        im = (a[..., 0, :] * b[..., 1, :] - a[..., 1, :] * b[..., 0, :]).sum(axis=axes)
+        z.imag = w @ im.reshape(shape)
+    return z
+
+
+def records(x, lay, count):
+    """The ``ObservableSet`` of each of the first ``count`` records of x on ``lay``.
+
+    x holds real rows shaped (d0, M, J, rows, records) (see ``rows``).  Every moment
+    is computed for all records of x at once, the record axis last: |psi|^2 and the
+    products of rows shifted by one or two pair levels or one pump level are summed
+    over the rows and over the axes the moment's weights do not depend on, and
+    then contracted with the weight vectors of ``lay`` by matrix-vector products.
+    A A+ and A+ A are diagonal with weights (n1+1)(n2+1) and n1 n2; the A A+ weight
+    is zeroed on the raise boundary so the dispersions agree with the truncated
+    operators (and with the dense oracle) everywhere.
     """
-    psi, lay = s.psi, s.layout
-    p = psi.real**2 + psi.imag**2
-    p_pump = p.sum(axis=(1, 2))
-    p_pair = p.sum(axis=0)
-    total_n = float(np.sum(lay.nsum * p_pair))
-    pair = complex(np.vdot(psi[:, :-1], lay.pair_w[:-1] * psi[:, 1:]))  # <A>
-    pair2 = complex(np.vdot(psi[:, :-2], lay.pair2_w * psi[:, 2:]))  # <A^2>
-    ada = float(np.sum(lay.n1n2 * p_pair))  # <A+ A>
-    aad = float(np.sum(lay.raise_w * p_pair))  # <A A+>
-    pump = complex(np.vdot(psi[:-1], lay.pump_w * psi[1:]))  # <a0>
-    return ObservableSet(
-        pair_amp=pair,
-        pair_amp_conj=pair.conjugate(),
-        total_n=total_n,
-        diff_n=float(np.sum(lay.delta * p_pair)),
-        pump_amp=pump,
-        pump_quad=2.0 * pump.real,
-        c_plus=2.0 * pair.real,
-        disp_plus=2.0 * pair2.real + ada + aad - (2.0 * pair.real) ** 2,
-        disp_minus=ada + aad - 2.0 * pair2.real - (2.0 * pair.imag) ** 2,
-        conserved_k=float(np.dot(lay.n0, p_pump)) + 0.5 * total_n,
-        norm=float(np.sqrt(p_pump.sum())),
-        leakage=float(p[lay.edge].sum()),
+    d0, M, J, _, n = x.shape
+    p = np.square(x).sum(axis=3).reshape(d0, M * J, n)  # |psi|^2
+    total_n, diff_n, ada, aad = lay.pair_moments @ p.sum(axis=0)  # <A+ A>, <A A+>
+    n0, norm2 = lay.pump_moments @ p.sum(axis=1)
+    pair = _overlap(x[:, :-1], x[:, 1:], lay.pair_w[:-1], (0,))  # <A>
+    pair2 = _overlap(x[:, :-2], x[:, 2:], lay.pair2_w, (0,)).real  # Re <A^2>
+    pump = _overlap(x[:-1], x[1:], lay.pump_w, (1, 2))  # <a0>
+    c_plus = 2.0 * pair.real
+    fields = (
+        pair,
+        pair.conjugate(),
+        total_n,
+        diff_n,
+        pump,
+        2.0 * pump.real,
+        c_plus,
+        2.0 * pair2 + ada + aad - c_plus**2,
+        ada + aad - 2.0 * pair2 - (2.0 * pair.imag) ** 2,
+        n0 + 0.5 * total_n,
+        np.sqrt(norm2),
+        lay.edge_w @ p.reshape(-1, n),
     )
+    return [ObservableSet(*o) for o in zip(*(f[:count].tolist() for f in fields))]
+
+
+def measure(s):
+    """All observables of one state, its norm and its leakage: ``records`` of its one record."""
+    return records(rows(s.psi), s.layout, 1)[0]
 
 
 def expect_pair_amplitude(s):

@@ -20,8 +20,11 @@ propagator as a real rotation: the coefficients u0 = U^T x_even and
 w0 = W^T x_odd of the initial state turn by the angles s t (G's eigenvalues
 are +-i s), and a real state stays real.  So each record is exp(G t) psi at
 its own t, ``dt`` and ``steps`` only set the output grid, and only the
-recorded times are computed.
-The norm is reported, never renormalized; ``measure`` reads it and the leakage
+recorded times are computed.  The records come in batches of one fixed width,
+as real rows (one for a real state, real and imaginary parts otherwise) with
+the record axis last: each block turns a batch with one GEMM of U and one of
+W, and ``observables.records`` measures the batch whole.
+The norm is reported, never renormalized; ``records`` reads it and the leakage
 of each recorded state, and ``ExactTrajectory`` states their extremes.
 """
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import NoisyDerivativeError, ValidationError
 from .fock import MAX_ROWS, MAX_TOTAL_DIM, HamiltonianParams, PureState
-from .observables import measure
+from .observables import measure, records, rows
 
 
 class EvolutionSpec(NamedTuple("EvolutionSpec", [("params", HamiltonianParams), ("dt", float),
@@ -91,11 +94,28 @@ class ExactTrajectory(NamedTuple):
     leakage: float
 
 
-def _chain_spectrum(psi, layout, chi):
-    """A function ``at(t)``: the sector array exp(G t) psi on ``layout``, at any real t.
+BATCH_BYTES = 128 * 1024  # the records of one batch, as real rows of float64
 
-    It keeps U, W, s and psi's coefficients u0 = U^T x_even and w0 = W^T x_odd,
-    and each call turns u0 and w0 by the angles s t; no call changes them.
+
+def _batch_width(size):
+    """Records per batch for real rows of ``size`` float64 per record: as many as fit in
+    BATCH_BYTES, at least 1, rounded down to 1, 2, 4 or a multiple of 8.  BLAS kernels
+    take columns in groups of up to 8 and finish a ragged group in other code, so only
+    these widths give a record the same bits at every position of its batch."""
+    n = max(1, BATCH_BYTES // (8 * size))
+    return n - n % 8 if n >= 8 else 1 << (n.bit_length() - 1)
+
+
+def _chain_spectrum(psi, layout, chi):
+    """``(at, width)``: ``at(ts)`` is exp(G t) psi on ``layout`` at each real t of the
+    batch ``ts``, as real rows shaped (d0, M, J, rows, len(ts)) (``observables.rows``:
+    one row for a real psi, else its real and imaginary parts), and ``width`` is the
+    number of records per batch (``_batch_width``).
+
+    It keeps U, W, s and psi's coefficients u0 = U^T x_even and w0 = W^T x_odd, and
+    each call turns u0 and w0 by the angles s t of every t, then maps them back with
+    one GEMM of U and one of W per block over all rows and records; no call changes
+    them.
 
     The fold (see the module docstring) maps cell (n0, m) to index c of block
     (n0 + m) mod P, c = m if d0 >= M, else c = n0, at pos = c // 2 for even c
@@ -103,9 +123,10 @@ def _chain_spectrum(psi, layout, chi):
     q = (a, m + 1) with weight chi * hop[a, m], and q to p with its negative;
     B, shape (P, J, E, L // 2), holds G's entries from odd cells to even ones.
     U and W hold about half of P * J * L^2 float64, but B, U and Wt are live with
-    the SVD's temporaries, then with U's transposed copy, so the peak is about
-    P * J * L^2 float64; ValidationError, before any decomposition, if P * J * L^2
-    would exceed 2 * MAX_TOTAL_DIM float64, as many bytes as the largest dense state.
+    the SVD's temporaries, so the peak is about P * J * L^2 float64; a batch then
+    holds a few arrays of at most BATCH_BYTES.  ValidationError, before any
+    decomposition, if P * J * L^2 would exceed 2 * MAX_TOTAL_DIM float64, as many
+    bytes as the largest dense state.
     """
     d0, M, J = psi.shape
     P, L = max(d0, M), min(d0, M)
@@ -124,46 +145,83 @@ def _chain_spectrum(psi, layout, chi):
     sign = np.where(q < p, chi, -chi)[..., None]
     B[block[1:, :-1], :, np.minimum(p, q), np.maximum(p, q) - E] = sign * hop
     U, s, Wt = np.linalg.svd(B)
-    # U kept transposed, as W is: its product with the transposed rows is then ~3x faster
-    U, W = np.ascontiguousarray(U.swapaxes(-1, -2)).swapaxes(-1, -2), Wt.swapaxes(-1, -2)
+    W = Wt.swapaxes(-1, -2)
 
-    # U and W are real: they act on psi's real and imaginary parts as two rows, along
-    # which cos(s t) and sin(s t) broadcast (a length-2 last axis is slow to broadcast)
-    x = np.empty((P, J, 2, L))
-    x[block, :, 0, pos], x[block, :, 1, pos] = psi.real, psi.imag  # the fold sets every cell
-    u0, w0 = x[..., :E] @ U, x[..., E:] @ W  # for odd L, u0's last pairs with no s
+    x0 = rows(psi)[..., 0]  # (d0, M, J, R)
+    R = x0.shape[-1]
+    x = np.empty((P, J, L, R))
+    x[block, :, pos] = x0  # the fold sets every cell
+    # for odd L, u0's last pairs with no s; the record axis goes last
+    u0, w0 = (U.swapaxes(-1, -2) @ x[:, :, :E])[..., None], (Wt @ x[:, :, E:])[..., None]
+    cell = (block * L + pos).reshape(-1)  # each sector cell's row in the (P * L) folded cells
 
-    def at(t):
-        tan = np.tan(0.5 * t * s)  # cos and sin of s t from tan(s t / 2): one call, not two
-        sec2 = 1.0 + tan * tan
-        cos, sin = ((2.0 - sec2) / sec2)[..., None, :], (2.0 * tan / sec2)[..., None, :]
-        u = np.concatenate((cos * u0[..., :F] + sin * w0, u0[..., F:]), axis=-1)
-        w = cos * w0 - sin * u0[..., :F]
-        out = np.concatenate((U @ u.swapaxes(-1, -2), W @ w.swapaxes(-1, -2)), axis=-2)
-        return out.view(np.complex128)[..., 0][block, :, pos]
+    def turn(ts):
+        """u0 and w0 turned by the angles s t of each t in ts, as GEMM operands shaped
+        (P, J, E or F, R * len(ts)).  Steps run in place wherever that leaves their
+        rounding as it is, so that a batch holds few of its arrays at once."""
+        n = len(ts)
+        # cos and sin of s t from tan(s t / 2): one call, not two
+        tan = np.tan(0.5 * np.asarray(ts, dtype=float) * s[..., None])
+        sec2 = tan * tan
+        sec2 += 1.0
+        cos = np.subtract(2.0, sec2)
+        cos /= sec2
+        sin = np.multiply(2.0, tan, out=tan)
+        sin /= sec2
+        cos, sin = cos[..., None, :], sin[..., None, :]
+        u = np.empty((P, J, E, R, n))
+        np.multiply(cos, u0[:, :, :F], out=u[:, :, :F])
+        u[:, :, :F] += sin * w0
+        u[:, :, F:] = u0[:, :, F:]
+        w = cos * w0
+        w -= sin * u0[:, :, :F]
+        return u.reshape(P, J, E, R * n), w.reshape(P, J, F, R * n)
 
-    return at
+    def at(ts):
+        n = len(ts)
+        u, w = turn(ts)
+        out = np.empty((P, L, J, R * n))  # each block's cells in rows: the unfold is a take
+        np.matmul(U, u, out=out[:, :E].swapaxes(1, 2))
+        np.matmul(W, w, out=out[:, E:].swapaxes(1, 2))
+        del u, w  # before the take, so that the batch's peak stays low
+        return np.take(out.reshape(P * L, J * R * n), cell, axis=0).reshape(d0, M, J, R, n)
+
+    return at, _batch_width(x0.size)
+
+
+def _state(x, layout):
+    """The PureState of real rows x shaped (d0, M, J, rows)."""
+    psi = x[..., 0].astype(np.complex128)
+    if x.shape[-1] == 2:
+        psi.imag = x[..., 1]
+    return PureState.from_sectors(psi, layout)
 
 
 def evolve(s0, spec):
     """exp(G t) s0 at each of ``spec.times()``, read from one spectrum of the blocks.
 
-    So a record does not depend on ``dt`` or ``record_every``, and only the
-    recorded times are computed.  The final state never shares its sector array
-    with s0.  Nothing scatters to the dense grid.  ValidationError when the
-    blocks' singular vectors would not fit (see ``_chain_spectrum``).
+    The records after t = 0 come from ``at`` in batches of ``width`` times, the
+    last batch padded by repeating its last time, and ``records`` measures each
+    batch whole.  Every batch has the same width, so a record's bits depend on
+    neither its place in a batch nor ``dt`` or ``record_every``, and only the
+    recorded times are computed.  The final state is complex128 (with a zero
+    imaginary part for a real s0) and never shares its sector array with s0.
+    Nothing scatters to the dense grid.  ValidationError when the blocks'
+    singular vectors would not fit (see ``_chain_spectrum``).
     """
-    psi, layout = s0.psi, s0.layout
-    at = _chain_spectrum(psi, layout, spec.params.chi)
-    times, obs = spec.times(), [measure(s0)]
-    for t in times[1:]:
-        psi = at(t)
-        obs.append(measure(PureState.from_sectors(psi, layout)))
+    layout = s0.layout
+    at, width = _chain_spectrum(s0.psi, layout, spec.params.chi)
+    times, obs, x = spec.times(), [measure(s0)], None
+    for k in range(1, len(times), width):
+        batch = times[k:k + width]
+        x = at(batch + batch[-1:] * (width - len(batch)))
+        obs += records(x, layout, len(batch))
 
     return ExactTrajectory(
         times=np.asarray(times),
         observables=obs,
-        final_state=PureState.from_sectors(psi.copy() if spec.steps == 0 else psi, layout),
+        final_state=(PureState.from_sectors(s0.psi.copy(), layout) if x is None
+                     else _state(x[..., -1], layout)),
         norm_drift=max(abs(o.norm**2 - 1.0) for o in obs),
         leakage=max(o.leakage for o in obs),
     )
@@ -179,7 +237,8 @@ def rate_of(s0, params, f):
     ``lambda s: measure(s).disp_plus``.
     Central differences with steps h and h/2 are combined to fourth order,
     with h = 1e-3 / (chi * max(1, |<a0>|, <N>)).  The four states, at +-h and
-    +-h/2, are exact and read from one spectrum of the blocks (``_chain_spectrum``).
+    +-h/2, are exact and read as one batch from one spectrum of the blocks
+    (``_chain_spectrum``).
     Raises NoisyDerivativeError (carrying both estimates) when their error
     estimate |d(h/2) - d(h)| / 3 exceeds 1e-4 * max(1, |rate|).
     """
@@ -187,9 +246,8 @@ def rate_of(s0, params, f):
         return 0.0
     o = measure(s0)
     h = 1e-3 / (params.chi * max(1.0, abs(o.pump_amp), o.total_n))
-    at = _chain_spectrum(s0.psi, s0.layout, params.chi)
-    f_h2, f_h, f_mh2, f_mh = (f(PureState.from_sectors(at(t), s0.layout))
-                              for t in (h / 2.0, h, -h / 2.0, -h))
+    x = _chain_spectrum(s0.psi, s0.layout, params.chi)[0]([h / 2.0, h, -h / 2.0, -h])
+    f_h2, f_h, f_mh2, f_mh = (f(_state(x[..., k], s0.layout)) for k in range(4))
     d_h = (f_h - f_mh) / (2.0 * h)
     d_h2 = (f_h2 - f_mh2) / h
     rich = (4.0 * d_h2 - d_h) / 3.0

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 import pnes
+import pnes.dispersion
+import pnes.propagator
+import pnes.states
 from pnes.cli import _build_profile, main, read_config_file, validate_config
 from pnes.errors import ValidationError
 from pnes.meanfield import PumpProfile, closed_form_trajectory, tau_of_t
@@ -244,6 +247,18 @@ class TestEvolveModel:
         assert max(abs(float(r[i_dl])) for r in rows) < 1e-8
         assert max(abs(float(r[i_dn])) for r in rows) < 1e-8
 
+    def test_far_narrow_gaussian_runs_with_warnings_as_errors(self, tmp_path):
+        text = ("profile = gaussian\namplitude = 1\ncenter = 100\nwidth = 1e-200\nchi = 0.1\n"
+                "t_start = -1\nt_stop = 1\nn_points = 3\n")
+        cfg, out = write_cfg(tmp_path / "c.cfg", text), tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(pnes.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "pnes.cli",
+                              "evolve-model", "--config", cfg, "--out", str(out)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        _, columns, rows = read_csv(out)
+        assert [r[columns.index("a")] for r in rows] == ["0", "0", "0"]
+
     def test_zero_amplitude_profile(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", EVOLVE_MODEL_CFG.replace("amplitude = 1", "amplitude = 0"))
         out = tmp_path / "out.csv"
@@ -451,7 +466,7 @@ class TestCompare:
             raise AssertionError("the exact state was built or evolved")
 
         monkeypatch.setattr(pnes.cli, "_build_exact_state", refuse)
-        monkeypatch.setattr(pnes.cli, "evolve", refuse)
+        monkeypatch.setattr(pnes.propagator, "evolve", refuse)
         text = COMPARE_CFG.replace("t_stop = 0.5", f"t_stop = {t_stop}")
         cfg = write_cfg(tmp_path / "c.cfg", text.replace("dt = 0.01", f"dt = {dt}"))
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
@@ -470,7 +485,7 @@ class TestCompare:
         def refuse(*args, **kwargs):
             raise AssertionError("the model was integrated")
 
-        monkeypatch.setattr(pnes.cli, "integrate_model", refuse)
+        monkeypatch.setattr(pnes.meanfield, "integrate_model", refuse)
         monkeypatch.setattr(pnes.meanfield, "_rk4_pass", refuse)
         cfg, out = write_cfg(tmp_path / "c.cfg", COMPARE_CFG), tmp_path / "out.csv"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
@@ -663,6 +678,18 @@ def test_csv_run_loads_neither_dataclasses_nor_json(tmp_path, command, text):
     assert _loaded(tmp_path, command, text, ["dataclasses", "json"]) == []
 
 
+@pytest.mark.parametrize("command, text, modules, loaded", [
+    ("evolve-exact", EVOLVE_EXACT_CFG, ["pnes.meanfield", "pnes.dispersion", "pnes.propagator"],
+     ["pnes.propagator"]),
+    ("evolve-model", EVOLVE_MODEL_CFG, ["pnes.states", "pnes.observables", "pnes.propagator",
+                                        "pnes.dispersion", "pnes.meanfield"], ["pnes.meanfield"]),
+    ("scan", SCAN_CFG, ["pnes.meanfield", "pnes.dispersion"], ["pnes.dispersion"]),
+], ids=["evolve-exact", "evolve-model", "scan"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, text, modules, loaded):
+    # the last module listed is one the command runs, so the check sees real imports
+    assert _loaded(tmp_path, command, text, modules) == loaded
+
+
 def test_json_run_loads_json(tmp_path):
     assert _loaded(tmp_path, "scan", SCAN_CFG, ["dataclasses", "json"], fmt="json") == ["json"]
 
@@ -742,7 +769,7 @@ def test_negative_d0_rejected_before_building_a_state(tmp_path, capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("built or evolved a state")
 
-    monkeypatch.setattr(pnes.cli, "evolve", refuse)
+    monkeypatch.setattr(pnes.propagator, "evolve", refuse)
     monkeypatch.setattr(pnes.states, "coherent", refuse)
     cfg = write_cfg(tmp_path / "c.cfg", text + "d0 = -7\n")
     out = tmp_path / "out.csv"
@@ -765,7 +792,7 @@ def test_pair_dim_below_one_named_before_building_a_state(tmp_path, capsys, monk
     def refuse(*args, **kwargs):
         raise AssertionError("built or evolved a state")
 
-    monkeypatch.setattr(pnes.cli, "evolve", refuse)
+    monkeypatch.setattr(pnes.propagator, "evolve", refuse)
     monkeypatch.setattr(pnes.states, "coherent", refuse)
     record = refused(tmp_path, capsys, command, text + f"pair_dim = {pair_dim}\n")
     assert record == {"error": "ValidationError",
@@ -891,7 +918,7 @@ def test_too_many_points_refused_before_evaluating_one(tmp_path, capsys, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("evaluated a point")
 
-    monkeypatch.setattr(pnes.cli, "build_report", refuse)
+    monkeypatch.setattr(pnes.dispersion, "build_report", refuse)
     record = refused(tmp_path, capsys, command, text)
     assert record["error"] == "ValidationError"
     assert f"would write {rows} {ROWS}" in record["message"]
@@ -903,7 +930,7 @@ def test_too_many_points_refused_before_evaluating_one(tmp_path, capsys, monkeyp
     ("dispersion", f"family = twb\nparams = {_floats(100000)}\nchi = 0.1\nalpha = 1\n"),
 ], ids=["scan", "dispersion"])
 def test_cap_many_points_accepted(tmp_path, monkeypatch, command, text):
-    monkeypatch.setattr(pnes.cli, "build_report", _report_stub)
+    monkeypatch.setattr(pnes.dispersion, "build_report", _report_stub)
     cfg, out = write_cfg(tmp_path / "c.cfg", text), tmp_path / "out.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     assert len(read_csv(out)[2]) == 100000

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,15 @@ class TestPumpProfile:
         scalars = [p.amplitude(float(x)) for x in t]
         assert all(type(s) is float for s in scalars)
         assert a.tolist() == scalars
+
+    @pytest.mark.parametrize("width", [1e-200, 1e-307], ids=["square-overflows", "ratio-overflows"])
+    def test_far_narrow_gaussian_is_zero_without_a_warning(self, width):
+        # z = (t - 100) / width or z * z overflows to inf, and exp(-inf / 2) = 0
+        p = PumpProfile.gaussian(1.0, 100.0, width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.amplitude(np.array([-1.0, 0.0, 1.0])).tolist() == [0.0, 0.0, 0.0]
+            assert p.amplitude(1.0) == 0.0
 
     def test_sampled_array_past_support_raises(self):
         p = PumpProfile.sampled([0.0, 1.0], [0.0, 1.0])

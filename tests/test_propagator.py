@@ -194,7 +194,8 @@ class TestEvolve:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            propagator._chain_spectrum(s0.psi, s0.layout, 0.3)(0.1)
+            at, width = propagator._chain_spectrum(s0.psi, s0.layout, 0.3)
+            at([0.1] * width)  # one batch, as evolve reads it
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -265,18 +266,20 @@ class TestEvolve:
         (10**6, [10**6]), (6 * 10**5, [6 * 10**5, 10**6]),
     ])
     def test_unrecorded_steps_are_never_computed(self, monkeypatch, record_every, ks):
-        calls, chain_spectrum = [], propagator._chain_spectrum
+        calls, widths, chain_spectrum = [], [], propagator._chain_spectrum
 
         def counting(*args):
-            at = chain_spectrum(*args)
-            return lambda t: calls.append(t) or at(t)
+            at, width = chain_spectrum(*args)
+            widths.append(width)
+            return (lambda ts: calls.extend(ts) or at(ts)), width
 
         monkeypatch.setattr(propagator, "_chain_spectrum", counting)
         s0 = product_state(coherent(1.0, 12), pnes([1.0], 4))
         dt = 1e-6
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=dt, steps=10**6,
                                         record_every=record_every))
-        assert calls == [k * dt for k in ks]
+        # one batch: the recorded times, padded by repeating the last
+        assert calls == [k * dt for k in ks] + [ks[-1] * dt] * (widths[0] - len(ks))
         assert len(traj.times) == len(ks) + 1 and traj.times[-1] == 10**6 * dt
 
     def test_recording_cadence(self):
@@ -360,6 +363,69 @@ class TestFoldedBlocks:
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.01, steps=200))
         assert np.all(traj.final_state.psi.imag == 0.0)
         assert all(o.pair_amp.imag == 0.0 for o in traj.observables)  # im_pair_amp
+
+
+def _trajectory_state():
+    """perfbench's trajectory.cfg: coherent(4) x twb(0.5) on the (50, 40, 40) box, a real state."""
+    return initial_state("twb", 0.5, 4.0, 0, 40)
+
+
+class TestBatches:
+    """``at`` reads a fixed-width batch of times as real rows; evolve pads the last batch."""
+
+    @pytest.mark.parametrize("size, width", [
+        (2000, 8),  # trajectory.cfg: 2000 cells, one row
+        (2 * 2000, 4),  # the same box with an imaginary part
+        (170 * 170, 1),  # compare at alpha 10 on the (170, 170) box
+        (5 * 2**17, 1),  # never fewer than one
+        (16384 // 3, 2), (16384 // 7, 4), (16384 // 23, 16), (1, 16384),
+    ])
+    def test_width_follows_the_byte_budget(self, size, width):
+        assert propagator._batch_width(size) == width
+
+    @pytest.mark.parametrize("s0, chi, dt, width", [
+        (_trajectory_state(), 0.1, 0.01, 8),
+        (_random_state((8, 6, 6), 11), 0.7, 0.05, 8),  # complex: two rows
+    ], ids=["real", "complex"])
+    def test_records_do_not_depend_on_their_place_in_a_batch(self, s0, chi, dt, width):
+        assert propagator._chain_spectrum(s0.psi, s0.layout, chi)[1] == width
+        # one full batch and a last batch of three records padded to the width; at
+        # record_every 2 and steps each time sits elsewhere in its batch
+        steps = width + 3
+        for record_every in (2, steps):
+            _assert_sparse_records_are_full_records(s0, chi, dt, steps, record_every)
+
+    def test_complex_rows_are_the_dense_exponential(self):
+        shape, chi = (5, 4, 6), 0.7
+        rng = np.random.default_rng(13)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid /= np.linalg.norm(grid)
+        s0 = PureState(TruncationConfig(*shape), grid.reshape(-1))
+        at, width = propagator._chain_spectrum(s0.psi, s0.layout, chi)
+        ts = [0.05 * k for k in range(1, width + 1)]
+        x = at(ts)
+        assert x.shape == (*s0.psi.shape, 2, width)
+        w, v = np.linalg.eigh(1j * dense_generator(shape, chi))
+        c0 = v.conj().T @ grid.reshape(-1)
+        for k, t in enumerate(ts):
+            want = v @ (np.exp(-1j * w * t) * c0)
+            got = propagator._state(x[..., k], s0.layout).amplitudes
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_evolve_peak_on_the_trajectory_config(self):
+        s0 = _trajectory_state()
+        spec = EvolutionSpec(HamiltonianParams(0.1), dt=0.01, steps=200)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            evolve(s0, spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 class TestRateOf:
