@@ -15,11 +15,11 @@ _SOURCES = {
     "fock": ("TruncationConfig", "PureState", "HamiltonianParams", "basis_index"),
     "states": ("coherent", "twb", "tmc", "pnes", "product_state"),
     "observables": ("measure", "ObservableSet"),
-    "propagator": ("EvolutionSpec", "ExactTrajectory", "evolve", "rate_of"),
+    "propagator": ("EvolutionSpec", "ExactTrajectory", "evolve"),
     "meanfield": ("PumpProfile", "ModelTrajectory", "tau_of_t", "closed_form",
                   "closed_form_trajectory", "integrate_model", "twb_x_from_tau"),
     "dispersion": ("DispersionReport", "analytic_rate", "model_rate_from_trajectory",
-                   "exact_rate", "exact_rate_fd", "diagnostic_simple_rate", "build_report"),
+                   "exact_rate_fd", "diagnostic_simple_rate", "build_report"),
 }
 _SOURCE = {name: module for module, names in _SOURCES.items() for name in names}
 __all__ = list(_SOURCE)

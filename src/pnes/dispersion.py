@@ -16,22 +16,21 @@ family, four values of dD_{C+}/dt at t = 0 are assembled per point:
 Ground truth is rate_exact; it depends only on the commutator
 [C+, G] = chi K Q of the truncated operators and the state constructors.  Each
 point's state is ``states.initial_state`` on ``default_truncation``'s box:
-the family's smallest cutoff plus two pair levels.  ``exact_rate``,
-``analytic_rate``, ``model_rate_from_trajectory`` and ``build_report`` raise
-NumericalError, all with one message, when a rate overflows float64.
-``exact_rate_fd`` gets the same number independently, by Richardson finite
-differences (``propagator.rate_of``) of four exact states, at +-h and +-h/2,
-read from one spectrum of the blocks; it is kept as the oracle the tests check
-``exact_rate`` against, and no report uses it.
+the family's smallest cutoff plus two pair levels.  ``analytic_rate``,
+``model_rate_from_trajectory`` and ``build_report`` raise NumericalError, all
+with one message, when a rate overflows float64.  ``exact_rate_fd`` gets
+rate_exact independently, by Richardson finite differences of D_{C+} on four
+exact states, at +-h/2 and +-h, read from two ``propagator.evolve`` runs; it is
+kept as the oracle the tests check ``build_report`` against, and no report
+uses it.
 """
 
 import math
 from typing import NamedTuple
 
-from .errors import NumericalError, ValidationError
+from .errors import NoisyDerivativeError, NumericalError, ValidationError
 from .fock import HamiltonianParams, TruncationConfig
 from .observables import disp_plus_rate, measure
-from .propagator import rate_of
 from .states import PAIR_FAMILIES, check_alpha, check_param, initial_state, pump_dimension
 
 FAMILIES = ("twb", "tmc")  # the families with closed-form rates
@@ -113,18 +112,33 @@ def _make_state(family, param, alpha):
     return initial_state(family, param, alpha, trunc.d0, trunc.d1)
 
 
-def exact_rate(family, param, chi, alpha):
-    """dD_{C+}/dt at t=0 on coherent(alpha) x family(param), from the commutator [C+, G]."""
-    _check_point(family, param, chi, alpha)
-    rate = disp_plus_rate(_make_state(family, param, alpha), chi)
-    return _finite(rate, family, param, chi, alpha)
-
-
 def exact_rate_fd(family, param, chi, alpha):
-    """Finite-difference dD_{C+}/dt at t=0 on coherent(alpha) x family(param)."""
+    """Finite-difference dD_{C+}/dt at t=0 on coherent(alpha) x family(param).
+
+    Central differences with steps h and h/2 are combined to fourth order, with
+    h = 1e-3 / (chi * max(1, |<a0>|, <N>)); the four states, at +-h/2 and +-h, are
+    the records of two two-step ``evolve`` runs, of dt = h/2 and -h/2, so h is
+    refused as ``EvolutionSpec`` refuses dt (ValidationError).  Raises
+    NoisyDerivativeError, carrying both estimates, when their error estimate
+    |d(h/2) - d(h)| / 3 exceeds 1e-4 * max(1, |rate|); 0.0 at chi = 0.
+    """
+    from .propagator import EvolutionSpec, evolve  # so that a scan never loads the propagator
+
     _check_point(family, param, chi, alpha)
-    s0 = _make_state(family, param, alpha)
-    return rate_of(s0, HamiltonianParams(chi), lambda s: measure(s).disp_plus)
+    s0, params = _make_state(family, param, alpha), HamiltonianParams(chi)
+    if chi == 0.0:
+        return 0.0
+    o = measure(s0)
+    h = 1e-3 / (chi * max(1.0, abs(o.pump_amp), o.total_n))
+    plus, minus = ([r.disp_plus for r in evolve(s0, EvolutionSpec(params, dt, 2)).observables]
+                   for dt in (h / 2.0, -h / 2.0))  # D at t = 0, +-h/2 and +-h
+    d_h = (plus[2] - minus[2]) / (2.0 * h)
+    d_h2 = (plus[1] - minus[1]) / h
+    rich = (4.0 * d_h2 - d_h) / 3.0
+    if abs(d_h2 - d_h) / 3.0 > 1e-4 * max(1.0, abs(rich)):
+        raise NoisyDerivativeError(
+            f"finite-difference estimates disagree: {d_h!r} (h) vs {d_h2!r} (h/2)", d_h, d_h2)
+    return rich
 
 
 def diagnostic_simple_rate(s, chi):
@@ -136,8 +150,8 @@ def diagnostic_simple_rate(s, chi):
 def build_report(family, param, chi, alpha):
     """One comparison point: all four rates plus discrepancy metrics.
 
-    rate_exact is ``exact_rate``'s value; the state is built on the sector
-    layout once for it and for the diagnostic.  NumericalError when a rate
+    rate_exact is ``observables.disp_plus_rate`` of the point's state, built on the
+    sector layout once for it and for the diagnostic.  NumericalError when a rate
     overflows float64; ``ratios_defined`` says whether both ratios are finite.
     """
     _check_point(family, param, chi, alpha)

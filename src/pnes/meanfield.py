@@ -122,6 +122,16 @@ class PumpProfile(NamedTuple("PumpProfile", [
             return self.times
         return () if self.variant == "gaussian" else (0.0, self.T)
 
+    def bend_time(self, t0, t1):
+        """The time over which a(t) bends between its breakpoints on [t0, t1]: a nonzero
+        gaussian's width when its pulse meets [t0, t1], else inf.  Past 40 widths from
+        its center a gaussian is exactly 0, and the other variants are linear between
+        their breakpoints."""
+        c, w = self.t_center, self.width
+        if self.variant == "gaussian" and self.a != 0 and t0 - 40.0 * w <= c <= t1 + 40.0 * w:
+            return w
+        return math.inf
+
 
 def tau_of_t(p, chi, t):
     """tau(t) = chi * integral of a(t') from -infinity to t, in closed form, at a
@@ -235,12 +245,13 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
     hyperbolic closed form.  For a >= 0 every entry of R is nonnegative, and
     N keeps its relative precision in the pump's tail.
 
-    The pump is read only through its ``amplitude``, ``breakpoints`` and
-    ``peak``.  Pieces between the grid points and the breakpoints take
-    n_sub = max(4, ceil(400 chi peak dt_max)) substeps each.  Every stage
-    reads the pump one ulp toward its piece's midpoint, so a stage at a
-    piece's end sees that piece's side of a jump: every jump is a breakpoint,
-    so a piece end.  A grid whose longest interval needs more than 100 000
+    The pump is read only through its ``amplitude``, ``breakpoints``, ``peak``
+    and ``bend_time``.  Pieces between the grid points and the breakpoints take
+    n_sub = max(4, ceil(max(400 chi peak, 100 / bend_time) dt_max)) substeps
+    each, so a substep is short against both the growth time and a gaussian's
+    width.  Every stage reads the pump one ulp toward its piece's midpoint, so
+    a stage at a piece's end sees that piece's side of a jump: every jump is a
+    breakpoint, so a piece end.  A grid whose longest interval needs more than 100 000
     substeps raises ValidationError before any is taken, and so does one that
     starts inside or after a pulse (|tau(t0)| > 1e-14), since the start is
     the vacuum (assume_zero_initial=True skips that check).  A grid that ends
@@ -258,7 +269,7 @@ def integrate_model(p, chi, t_grid, assume_zero_initial=False):
 
     i = int(np.argmax(np.diff(t_grid)))
     t0, t1, peak = float(t_grid[i]), float(t_grid[i + 1]), p.peak()
-    work = 400.0 * chi * peak * (t1 - t0)
+    work = max(400.0 * chi * peak, 100.0 / p.bend_time(t_grid[0], t_grid[-1])) * (t1 - t0)
     if not work <= _MAX_SUBSTEPS:
         raise ValidationError(f"the grid interval [{t0!r}, {t1!r}] needs {work:.3g} RK4 substeps "
                               f"at pump peak {peak!r}, more than {_MAX_SUBSTEPS}: add grid points")

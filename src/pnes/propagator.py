@@ -20,10 +20,12 @@ propagator as a real rotation: the coefficients u0 = U^T x_even and
 w0 = W^T x_odd of the initial state turn by the angles s t (G's eigenvalues
 are +-i s), and a real state stays real.  So each record is exp(G t) psi at
 its own t, ``dt`` and ``steps`` only set the output grid, and only the
-recorded times are computed.  The records come in batches of one fixed width,
-as real rows (one for a real state, real and imaginary parts otherwise) with
-the record axis last: each block turns a batch with one GEMM of U and one of
-W, and ``observables.records`` measures the batch whole.
+recorded times are computed.  The records come in batches of a width fixed by
+the box (``_batch_width``), as real rows (one for a real state, real and
+imaginary parts otherwise) with the record axis last: each block turns a batch
+with one GEMM of U and one of W, and ``observables.records`` measures the batch
+whole.  ``dispersion.exact_rate_fd`` reads its finite-difference states from
+two short ``evolve`` runs.
 The norm is reported, never renormalized; ``records`` reads it and the leakage
 of each recorded state, and ``ExactTrajectory`` states their extremes.
 """
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoisyDerivativeError, ValidationError
+from .errors import ValidationError
 from .fock import MAX_ROWS, MAX_TOTAL_DIM, HamiltonianParams, PureState
 from .observables import measure, records, rows
 
@@ -101,7 +103,8 @@ def _batch_width(size):
     """Records per batch for real rows of ``size`` float64 per record: as many as fit in
     BATCH_BYTES, at least 1, rounded down to 1, 2, 4 or a multiple of 8.  BLAS kernels
     take columns in groups of up to 8 and finish a ragged group in other code, so only
-    these widths give a record the same bits at every position of its batch."""
+    these widths give a record the same bits at every position of its batch, and a
+    batch of any multiple of 8 gives it the bits of a batch of any other."""
     n = max(1, BATCH_BYTES // (8 * size))
     return n - n % 8 if n >= 8 else 1 << (n.bit_length() - 1)
 
@@ -200,12 +203,14 @@ def _state(x, layout):
 def evolve(s0, spec):
     """exp(G t) s0 at each of ``spec.times()``, read from one spectrum of the blocks.
 
-    The records after t = 0 come from ``at`` in batches of ``width`` times, the
-    last batch padded by repeating its last time, and ``records`` measures each
-    batch whole.  Every batch has the same width, so a record's bits depend on
-    neither its place in a batch nor ``dt`` or ``record_every``, and only the
-    recorded times are computed.  The final state is complex128 (with a zero
-    imaginary part for a real s0) and never shares its sector array with s0.
+    The records after t = 0 come from ``at`` in batches of at most ``width`` times,
+    and ``records`` measures each batch whole.  A short batch is padded by repeating
+    its last time: to ``width`` when that is 1, 2 or 4, else to the next multiple of
+    8 (see ``_batch_width``).  So a record's bits depend on neither its place in a
+    batch nor ``dt`` or ``record_every``, only the recorded times are computed, and
+    a short run computes at most 7 records it does not keep.  The final state is
+    complex128 (with a zero imaginary part for a real s0) and never shares its
+    sector array with s0.
     Nothing scatters to the dense grid.  ValidationError when the blocks'
     singular vectors would not fit (see ``_chain_spectrum``).
     """
@@ -214,7 +219,8 @@ def evolve(s0, spec):
     times, obs, x = spec.times(), [measure(s0)], None
     for k in range(1, len(times), width):
         batch = times[k:k + width]
-        x = at(batch + batch[-1:] * (width - len(batch)))
+        n = width if width < 8 else len(batch) + -len(batch) % 8  # the padded batch
+        x = at(batch + batch[-1:] * (n - len(batch)))
         obs += records(x, layout, len(batch))
 
     return ExactTrajectory(
@@ -225,37 +231,3 @@ def evolve(s0, spec):
         norm_drift=max(abs(o.norm**2 - 1.0) for o in obs),
         leakage=max(o.leakage for o in obs),
     )
-
-
-_FD_TOL = 1e-4
-
-
-def rate_of(s0, params, f):
-    """d<f>/dt at t=0 by Richardson-extrapolated central differences.
-
-    f is a callable on each evolved ``PureState``, e.g.
-    ``lambda s: measure(s).disp_plus``.
-    Central differences with steps h and h/2 are combined to fourth order,
-    with h = 1e-3 / (chi * max(1, |<a0>|, <N>)).  The four states, at +-h and
-    +-h/2, are exact and read as one batch from one spectrum of the blocks
-    (``_chain_spectrum``).
-    Raises NoisyDerivativeError (carrying both estimates) when their error
-    estimate |d(h/2) - d(h)| / 3 exceeds 1e-4 * max(1, |rate|).
-    """
-    if params.chi == 0.0:
-        return 0.0
-    o = measure(s0)
-    h = 1e-3 / (params.chi * max(1.0, abs(o.pump_amp), o.total_n))
-    x = _chain_spectrum(s0.psi, s0.layout, params.chi)[0]([h / 2.0, h, -h / 2.0, -h])
-    f_h2, f_h, f_mh2, f_mh = (f(_state(x[..., k], s0.layout)) for k in range(4))
-    d_h = (f_h - f_mh) / (2.0 * h)
-    d_h2 = (f_h2 - f_mh2) / h
-    rich = (4.0 * d_h2 - d_h) / 3.0
-    err = abs(d_h2 - d_h) / 3.0
-    if err > _FD_TOL * max(1.0, abs(rich)):
-        raise NoisyDerivativeError(
-            f"finite-difference estimates disagree: {d_h!r} (h) vs {d_h2!r} (h/2)",
-            d_h,
-            d_h2,
-        )
-    return rich

@@ -30,14 +30,12 @@ PUBLIC = [
     "coherent",
     "diagnostic_simple_rate",
     "evolve",
-    "exact_rate",
     "exact_rate_fd",
     "integrate_model",
     "measure",
     "model_rate_from_trajectory",
     "pnes",
     "product_state",
-    "rate_of",
     "tau_of_t",
     "tmc",
     "twb",

@@ -389,9 +389,11 @@ class TestEvolveModel:
         assert "overflows" in record["message"]
         assert not out.exists()
 
-    def test_unresolved_pulse_is_a_step_size_error(self, tmp_path, capsys):
-        # a pulse 1e-3 wide inside one grid interval: the two RK4 passes disagree
-        text = ("profile = gaussian\namplitude = 1\ncenter = 0.5\nwidth = 0.001\nchi = 1\n"
+    def test_unresolved_pulse_is_a_step_size_error(self, tmp_path, capsys, monkeypatch):
+        # the substeps follow a gaussian's width, so the two RK4 passes agree on any
+        # pulse to about 1e-16; at a tolerance of 1e-30 they disagree
+        monkeypatch.setattr(pnes.meanfield, "_ODE_TOL", 1e-30)
+        text = ("profile = gaussian\namplitude = 1\ncenter = 0.5\nwidth = 0.05\nchi = 1\n"
                 "t_start = 0\nt_stop = 1\nn_points = 2\n")
         cfg = write_cfg(tmp_path / "c.cfg", text)
         out = tmp_path / "o.csv"
@@ -683,7 +685,8 @@ def test_csv_run_loads_neither_dataclasses_nor_json(tmp_path, command, text):
      ["pnes.propagator"]),
     ("evolve-model", EVOLVE_MODEL_CFG, ["pnes.states", "pnes.observables", "pnes.propagator",
                                         "pnes.dispersion", "pnes.meanfield"], ["pnes.meanfield"]),
-    ("scan", SCAN_CFG, ["pnes.meanfield", "pnes.dispersion"], ["pnes.dispersion"]),
+    ("scan", SCAN_CFG, ["pnes.meanfield", "pnes.propagator", "pnes.dispersion"],
+     ["pnes.dispersion"]),
 ], ids=["evolve-exact", "evolve-model", "scan"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, text, modules, loaded):
     # the last module listed is one the command runs, so the check sees real imports

@@ -1,20 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import pnes.kernels
+import pnes.propagator
 from pnes.dispersion import (
     build_report,
     default_truncation,
     diagnostic_simple_rate,
-    exact_rate,
     exact_rate_fd,
     model_rate_from_trajectory,
     analytic_rate,
 )
-from pnes.errors import NumericalError, ValidationError
-from pnes.states import coherent, product_state, tmc, twb
+from pnes.errors import NoisyDerivativeError, NumericalError, ValidationError
+from pnes.observables import disp_plus_rate
+from pnes.states import coherent, initial_state, product_state, tmc, twb
 
 
 class TestAnalyticRate:
@@ -88,6 +90,42 @@ class TestExactRateFd:
         assert exact_rate_fd("tmc", 0.5, 0.10, 1.0) == pytest.approx(2 * base, rel=1e-6)
         assert exact_rate_fd("tmc", 0.5, 0.05, 2.0) == pytest.approx(2 * base, rel=1e-6)
 
+    def test_reads_its_four_states_from_two_evolve_runs(self, monkeypatch):
+        runs, evolve = [], pnes.propagator.evolve
+
+        def counting(s0, spec):
+            runs.append(spec)
+            return evolve(s0, spec)
+
+        monkeypatch.setattr(pnes.propagator, "evolve", counting)
+        exact_rate_fd("twb", 0.4, 0.1, 2.0)
+        assert [(spec.steps, spec.record_every) for spec in runs] == [(2, 1), (2, 1)]
+        assert runs[0].dt == -runs[1].dt > 0
+
+    def test_noisy_derivative_raises_with_both_estimates(self, monkeypatch):
+        evolve = pnes.propagator.evolve
+
+        def kinked(s0, spec):
+            # D = cbrt(t) has no derivative at t = 0: the h and h/2 estimates cannot agree
+            traj = evolve(s0, spec)
+            return traj._replace(observables=[o._replace(disp_plus=float(np.cbrt(t)))
+                                              for o, t in zip(traj.observables, traj.times)])
+
+        monkeypatch.setattr(pnes.propagator, "evolve", kinked)
+        with pytest.raises(NoisyDerivativeError) as err:
+            exact_rate_fd("tmc", 0.5, 0.1, 1.0)
+        assert err.value.estimate_h != err.value.estimate_h2
+
+    @pytest.mark.parametrize("chi", [5e-324, 3e307], ids=["tiny-chi", "huge-chi"])
+    def test_a_step_evolve_refuses_is_a_validation_error(self, chi):
+        # at the tiny chi h = 1e-3 / (chi max(1, |<a0>|, <N>)) is inf; at the huge one
+        # chi overflows EvolutionSpec's bound on the phases.  Both used to reach numpy:
+        # nan after a warning, and an SVD that did not converge.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                exact_rate_fd("twb", 0.5, chi, 1.0)
+
 
 # the points of the two benchmark scans, perfbench/configs/scan_{twb,tmc}.cfg
 SCAN_GRID = [
@@ -100,18 +138,22 @@ SCAN_GRID = [
 
 
 class TestExactRate:
+    """``build_report``'s rate_exact, the moment from [C+, G]."""
+
     @pytest.mark.parametrize("family,param,chi,alpha", SCAN_GRID)
     def test_agrees_with_finite_differences(self, family, param, chi, alpha):
-        got = exact_rate(family, param, chi, alpha)
+        got = build_report(family, param, chi, alpha).rate_exact
         assert got == pytest.approx(exact_rate_fd(family, param, chi, alpha), rel=1e-9)
 
     def test_is_the_report_column(self):
-        rep = build_report("twb", 0.4, 0.1, 2.0)
-        assert rep.rate_exact == exact_rate("twb", 0.4, 0.1, 2.0)
+        # the moment of the state on the default box: coherent(2) x twb(0.4)
+        trunc = default_truncation("twb", 0.4, 2.0)
+        s0 = initial_state("twb", 0.4, 2.0, trunc.d0, trunc.d1)
+        assert build_report("twb", 0.4, 0.1, 2.0).rate_exact == disp_plus_rate(s0, 0.1)
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
-            exact_rate("twb", 1.0, 0.1, 1.0)
+            build_report("twb", 1.0, 0.1, 1.0)
 
 
 class TestDiagnosticSimpleRate:
@@ -180,7 +222,6 @@ class TestBuildReport:
 
 
 _RATES = {
-    "exact_rate": exact_rate,
     "analytic_rate-exact": lambda f, p, c, a: analytic_rate(f, "exact", p, c, a),
     "analytic_rate-model": lambda f, p, c, a: analytic_rate(f, "model", p, c, a),
     "model_rate_from_trajectory": model_rate_from_trajectory,

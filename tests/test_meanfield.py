@@ -52,7 +52,7 @@ def model_cases(draw):
         else:
             p = PumpProfile.constant(amp)
     elif variant == "gaussian":
-        width = draw(st.floats(4.0, 8.0)) * max(steps)  # substeps follow chi * a * dt, not width
+        width = draw(st.floats(4.0, 8.0)) * max(steps)  # 13 to 25 substeps by the width
         # the grid starts in the far left tail (z from 7 to 14) or near the peak
         z0 = draw(st.one_of(st.floats(7.0, 14.0), st.floats(-1.0, 7.0)))
         p = PumpProfile.gaussian(amp, z0 * width, width)
@@ -315,6 +315,27 @@ class TestIntegrateModel:
         with pytest.raises(ValidationError, match=r"\[-1.0, 1000.0\] needs 4e\+05 .* peak 1.0"):
             integrate_model(PumpProfile.rectangular(1.0, 2.0), 1.0, [-1.0, 1000.0])
 
+    def test_substeps_follow_a_narrow_gaussian_inside_the_grid(self):
+        # 400 chi peak dt_max = 40 substeps would step over the pulse; 100 per width do not
+        p = PumpProfile.gaussian(1.0, 0.3, 0.01)
+        grid = np.array([-1.0, 0.0, 1.0])
+        ode, cf = integrate_model(p, 0.1, grid), closed_form_trajectory(p, 0.1, grid)
+        assert np.max(np.abs(ode.Lambda - cf.Lambda)) <= 1e-12
+        assert np.max(np.abs(ode.N - cf.N)) <= 1e-12
+
+    @pytest.mark.parametrize("p, t0, t1, want", [
+        (PumpProfile.gaussian(1.0, 0.3, 0.01), -1.0, 1.0, 0.01),
+        (PumpProfile.gaussian(1.0, 1.39, 0.01), -1.0, 1.0, 0.01),  # 39 widths past the grid
+        (PumpProfile.gaussian(1.0, 1.41, 0.01), -1.0, 1.0, math.inf),  # a = 0 on the grid
+        (PumpProfile.gaussian(1.0, 100.0, 1e-200), -1.0, 1.0, math.inf),
+        (PumpProfile.gaussian(0.0, 0.3, 0.01), -1.0, 1.0, math.inf),
+        (PumpProfile.gaussian(1.0, 0.0, 1e300), -1.0, 1.0, 1e300),  # 40 widths overflow
+        (PumpProfile.rectangular(1.0, 2.0), -1.0, 1.0, math.inf),
+        (PumpProfile.sampled([0.0, 1.0], [0.0, 1.0]), -1.0, 1.0, math.inf),
+    ], ids=["inside", "near", "far", "far-narrow", "zero", "wide", "rectangular", "sampled"])
+    def test_bend_time(self, p, t0, t1, want):
+        assert p.bend_time(t0, t1) == want
+
     def test_refuses_a_grid_past_the_pump_support_before_any_substep(self, monkeypatch):
         # an RK4 stage would first read the pump at 1.0000000000000002 and name that time
         def refuse(*args, **kwargs):
@@ -331,6 +352,7 @@ class _PumpInterface:
 
     def __init__(self, p):
         self.amplitude, self.breakpoints, self.peak = p.amplitude, p.breakpoints, p.peak
+        self.bend_time = p.bend_time
 
 
 @pytest.mark.parametrize("p", [
@@ -362,7 +384,8 @@ def test_integrator_reads_the_breakpoints_once():
 def test_integrate_model_matches_scalar_rk4(case):
     p, chi, grid = case
     ode = integrate_model(p, chi, grid, assume_zero_initial=True)
-    n_sub = max(4, math.ceil(400.0 * chi * p.peak() * float(np.max(np.diff(grid)))))
+    rate = max(400.0 * chi * p.peak(), 100.0 / p.bend_time(grid[0], grid[-1]))
+    n_sub = max(4, math.ceil(rate * float(np.max(np.diff(grid)))))
     lam, n = rk4_model(p, chi, grid, 2 * n_sub)
     for got, want in ((ode.Lambda, lam), (ode.N, n)):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

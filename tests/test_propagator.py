@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnes import propagator
-from pnes.errors import NoisyDerivativeError, ValidationError
+from pnes.errors import ValidationError
 from pnes.fock import HamiltonianParams, PureState, TruncationConfig, basis_index, basis_state
 from pnes.meanfield import closed_form
-from pnes.observables import measure
-from pnes.propagator import EvolutionSpec, evolve, rate_of
+from pnes.observables import records
+from pnes.propagator import EvolutionSpec, evolve
 from pnes.states import coherent, initial_state, pnes, product_state, twb
 
 from oracle import dense_generator
@@ -278,8 +278,9 @@ class TestEvolve:
         dt = 1e-6
         traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=dt, steps=10**6,
                                         record_every=record_every))
-        # one batch: the recorded times, padded by repeating the last
-        assert calls == [k * dt for k in ks] + [ks[-1] * dt] * (widths[0] - len(ks))
+        # one batch: the recorded times, padded by repeating the last to a multiple of 8
+        assert widths[0] >= 8 and widths[0] % 8 == 0
+        assert calls == [k * dt for k in ks] + [ks[-1] * dt] * (8 - len(ks))
         assert len(traj.times) == len(ks) + 1 and traj.times[-1] == 10**6 * dt
 
     def test_recording_cadence(self):
@@ -395,6 +396,36 @@ class TestBatches:
         for record_every in (2, steps):
             _assert_sparse_records_are_full_records(s0, chi, dt, steps, record_every)
 
+    @pytest.mark.parametrize("s0, chi, width", [
+        (_small_box(), 0.3, 240),
+        (_random_state((3, 4, 5), 7), 0.7, 80),  # complex: two rows
+        (_random_state((6, 5, 5), 7), 0.7, 24),
+    ], ids=["real", "complex", "complex-24"])
+    def test_a_record_has_the_same_bits_in_a_batch_of_any_multiple_of_8(self, s0, chi, width):
+        at, got_width = propagator._chain_spectrum(s0.psi, s0.layout, chi)
+        assert got_width == width
+        ts = [0.05 * k for k in range(1, width + 1)]
+        full = at(ts)
+        for n in range(8, width, 8):
+            x = at(ts[:n])
+            np.testing.assert_array_equal(x, full[..., :n])
+            assert records(x, s0.layout, n) == records(full, s0.layout, n)
+
+    @pytest.mark.parametrize("s0, steps, batches", [
+        (_small_box(), 1, [8]), (_small_box(), 9, [16]), (_small_box(), 241, [240, 8]),
+        (_random_state((10, 8, 8), 7), 5, [4, 4]),  # width 4: a short batch is padded to 4
+    ], ids=["1-step", "9-steps", "241-steps", "width-4"])
+    def test_a_short_batch_is_padded_to_a_multiple_of_8(self, monkeypatch, s0, steps, batches):
+        got, chain_spectrum = [], propagator._chain_spectrum
+
+        def counting(*args):
+            at, width = chain_spectrum(*args)
+            return (lambda ts: got.append(len(ts)) or at(ts)), width
+
+        monkeypatch.setattr(propagator, "_chain_spectrum", counting)
+        traj = evolve(s0, EvolutionSpec(HamiltonianParams(0.1), dt=0.01, steps=steps))
+        assert got == batches and len(traj.observables) == steps + 1
+
     def test_complex_rows_are_the_dense_exponential(self):
         shape, chi = (5, 4, 6), 0.7
         rng = np.random.default_rng(13)
@@ -427,79 +458,3 @@ class TestBatches:
                 tracemalloc.stop()
         assert peak <= 1.5e6
 
-
-class TestRateOf:
-    def test_conserved_observable_has_zero_rate(self):
-        s0 = product_state(coherent(1.5, 20), twb(0.3, 14))
-        rate = rate_of(s0, HamiltonianParams(0.1), lambda s: measure(s).diff_n)
-        assert abs(rate) < 1e-10
-
-    def test_zero_coupling(self):
-        s0 = product_state(coherent(1.0, 15), twb(0.2, 10))
-        assert rate_of(s0, HamiltonianParams(0.0), lambda s: measure(s).disp_plus) == 0.0
-
-    def test_twb_dispersion_rate(self):
-        x, chi, alpha = 0.3, 0.1, 1.0
-        s0 = product_state(coherent(alpha, 20), twb(x, 18))
-        rate = rate_of(s0, HamiltonianParams(chi), lambda s: measure(s).disp_plus)
-        expected = 8 * chi * alpha * x * (1 + x * x) / (1 - x * x) ** 2
-        assert rate == pytest.approx(expected, rel=1e-3)
-
-    def test_callable_selector(self):
-        from pnes.observables import expect_total_number
-
-        alpha, chi = 1.0, 0.1
-        s0 = product_state(coherent(alpha, 20), pnes([1.0], 6))
-        rate = rate_of(s0, HamiltonianParams(chi), expect_total_number)
-        # dN/dt = 0 at t=0 from vacuum pair (N ~ 2 (chi alpha t)^2)
-        assert abs(rate) < 1e-8
-
-    def test_noisy_derivative_raises_with_both_estimates(self):
-        s0 = product_state(coherent(1.0, 15), pnes([1.0], 12))
-        with pytest.raises(NoisyDerivativeError) as err:
-            # C+ grows linearly from 0, so its cube root has no derivative at t = 0:
-            # the h and h/2 estimates cannot agree
-            rate_of(s0, HamiltonianParams(0.5), lambda s: np.cbrt(measure(s).c_plus))
-        assert err.value.estimate_h != err.value.estimate_h2
-
-
-def _richardson_from_evolve(s0, params, f):
-    """rate_of's estimate rebuilt from four one-step ``evolve`` calls."""
-    o = measure(s0)
-    h = 1e-3 / (params.chi * max(1.0, abs(o.pump_amp), o.total_n))
-
-    def central(t):
-        fp, fm = (f(evolve(s0, EvolutionSpec(params, dt=u, steps=1)).final_state)
-                  for u in (t, -t))
-        return (fp - fm) / (2.0 * t)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-
-class TestRateOfOneDiagonalization:
-    @pytest.mark.parametrize("family, param", [("twb", 0.4), ("tmc", 1.0)])
-    @pytest.mark.parametrize("f", [lambda s: measure(s).disp_plus, lambda s: measure(s).total_n],
-                             ids=["disp_plus", "total_n"])
-    def test_matches_four_evolve_calls(self, family, param, f):
-        s0 = initial_state(family, param, 2.0, 0, 20)
-        params = HamiltonianParams(0.1)
-        assert rate_of(s0, params, f) == pytest.approx(_richardson_from_evolve(s0, params, f),
-                                                       rel=1e-10)
-
-    def test_one_stepper_and_no_evolve(self, monkeypatch):
-        steppers, evolves = [], []
-        chain_spectrum = propagator._chain_spectrum
-
-        def counting_stepper(*args):
-            steppers.append(args)
-            return chain_spectrum(*args)
-
-        def counting_evolve(*args):
-            evolves.append(args)
-            return evolve(*args)
-
-        monkeypatch.setattr(propagator, "_chain_spectrum", counting_stepper)
-        monkeypatch.setattr(propagator, "evolve", counting_evolve)
-        s0 = initial_state("twb", 0.4, 2.0, 0, 20)
-        rate_of(s0, HamiltonianParams(0.1), lambda s: measure(s).disp_plus)
-        assert len(steppers) == 1 and evolves == []
