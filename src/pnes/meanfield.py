@@ -18,9 +18,9 @@ the twin-beam family via x = tanh(tau).  Pump depletion is out of scope: no
 back-reaction on a(t), the model's one input, is modeled.
 
 The ODE is also integrated by RK4 (``integrate_model``), as an independent
-check of the closed form.  The system is linear in (Lambda, N, 1), so each
-RK4 substep is one 3x3 step matrix, and the integration is array
-arithmetic over all pieces of the time grid at once.
+check of the closed form.  It runs in tau, where the system is linear in
+(Lambda, N, 1) with one constant matrix: each RK4 substep is one 3x3 step
+matrix, and the whole time grid is integrated as array arithmetic.
 """
 
 import math
@@ -32,7 +32,8 @@ from .errors import ExtrapolationError, NumericalError, StepSizeError, Validatio
 from .fock import HamiltonianParams
 
 _ODE_TOL = 1e-8
-_MAX_SUBSTEPS = 100_000  # per piece in the coarse pass; a grid that needs more is refused
+_MAX_SUBSTEPS = 100_000  # per interval in the coarse pass; a grid that needs more is refused
+_A = np.array([[0.0, 1.0, 1.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # d(Lambda, N, 1)/dtau = A z
 
 
 class PumpProfile(NamedTuple("PumpProfile", [
@@ -110,28 +111,6 @@ class PumpProfile(NamedTuple("PumpProfile", [
             a = np.interp(t, self.times, self.values, left=0.0)
         return float(a) if a.ndim == 0 else a
 
-    def peak(self):
-        if self.variant == "sampled":
-            return float(np.max(np.abs(self.values)))
-        return abs(self.a)
-
-    def breakpoints(self):
-        """Times where the profile or its slope jumps (integration split points);
-        a constant pump's end, inf, lies past any grid."""
-        if self.variant == "sampled":
-            return self.times
-        return () if self.variant == "gaussian" else (0.0, self.T)
-
-    def bend_time(self, t0, t1):
-        """The time over which a(t) bends between its breakpoints on [t0, t1]: a nonzero
-        gaussian's width when its pulse meets [t0, t1], else inf.  Past 40 widths from
-        its center a gaussian is exactly 0, and the other variants are linear between
-        their breakpoints."""
-        c, w = self.t_center, self.width
-        if self.variant == "gaussian" and self.a != 0 and t0 - 40.0 * w <= c <= t1 + 40.0 * w:
-            return w
-        return math.inf
-
 
 def tau_of_t(p, chi, t):
     """tau(t) = chi * integral of a(t') from -infinity to t, in closed form, at a
@@ -182,8 +161,7 @@ def twb_x_from_tau(tau):
 
 
 class ModelTrajectory(NamedTuple):
-    """Model solution on a time grid; ``tau`` is None from ``integrate_model``
-    (the ODE does not need it; ``closed_form_trajectory`` reports it)."""
+    """Model solution on a time grid, with the pump area tau at each time."""
 
     times: np.ndarray
     tau: np.ndarray
@@ -196,103 +174,64 @@ def closed_form_trajectory(p, chi, t_grid):
     return ModelTrajectory(np.asarray(t_grid, dtype=float), tau, *closed_form(tau))
 
 
-def _rk4_pass(p, powers, edges, n_sub):
-    """(Lambda, N) at every edge, by RK4 with n_sub substeps per piece between edges.
-
-    Each substep column evaluates the pump at its middle and end stages for
-    all pieces (its start stage is the previous column's end, the same time)
-    and multiplies the step matrices, coefficient rows times the rows of A^0
-    .. A^4 in ``powers``, into each piece's product; a log-depth prefix
-    product over the pieces then gives the state at every edge.  The stage
-    times are those of scalar RK4, each moved one ulp toward its piece's
-    midpoint: the substep time advances by h and the last substep ends
-    exactly at the piece's right end.
-    """
-    lo, hi = edges[:-1], edges[1:]
-    h = (hi - lo) / n_sub
-    mid = 0.5 * (lo + hi)
-    prod = np.eye(3)
-    t = lo
-    s1 = h * p.amplitude(np.nextafter(t, mid))
-    for i in range(n_sub):
-        t_end = hi if i == n_sub - 1 else t + h
-        s2, s4 = (h * p.amplitude(np.nextafter(s, mid)) for s in (t + 0.5 * h, t_end))
-        coef = np.stack((np.ones_like(h), (s1 + 4.0 * s2 + s4) / 6.0, s2 * (s1 + s2 + s4) / 6.0,
-                         s2 * s2 * (s1 + s4) / 12.0, s1 * s2 * s2 * s4 / 24.0), axis=-1)
-        prod = (coef @ powers).reshape(-1, 3, 3) @ prod
-        t, s1 = t_end, s4  # a substep's end stage is the next one's start stage
+def _rk4_pass(dtau, n_sub):
+    """(Lambda, N) at every grid point, by RK4 in tau with n_sub substeps per interval:
+    a substep of length h is z -> R z, R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
+    and a log-depth prefix product of the intervals' R^n_sub gives every grid point."""
+    hA, eye = (dtau / n_sub)[:, None, None] * _A, np.eye(3)
+    prod = np.linalg.matrix_power(eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2), n_sub)
     shift = 1
-    while shift < len(prod):  # prod[j] becomes the product over pieces 0..j
+    while shift < len(prod):  # prod[j] becomes the product over intervals 0..j
         prod[shift:] = prod[shift:] @ prod[:-shift]
         shift *= 2
-    # the start is z = (0, 0, 1), so (Lambda, N) at an edge is its product's last column
+    # the start is z = (0, 0, 1), so (Lambda, N) at a grid point is its product's last column
     return np.concatenate(([[0.0, 0.0]], prod[:, :2, 2]))
 
 
 def integrate_model(p, chi, t_grid, assume_zero_initial=False):
     """RK4 integration of the state-parameter system from (Lambda, N) = (0, 0).
 
-    The system is linear: z = (Lambda, N, 1) obeys z' = a(t) A z with
-    A = [[0, chi, chi], [4 chi, 0, 0], [0, 0, 0]].  One RK4 substep of
-    length h is then exactly z -> R z with R = I + c1 A + c2 A^2 + c3 A^3
-    + c4 A^4, where, for s1, s2, s4 = h a at the start, middle and end,
+    In tau the system is z' = A z, with z = (Lambda, N, 1) and the constant
+    A = [[0, 1, 1], [4, 0, 0], [0, 0, 0]], so the pump enters only through
+    tau = ``tau_of_t`` on the grid, which the result carries.  Each interval
+    takes n_sub = max(4, ceil(400 max |dtau|)) substeps of its own dtau.  No
+    property of A is used, so this stays an independent check of the closed
+    form; for a >= 0 every step matrix is nonnegative, so N keeps its relative
+    precision in the pump's tail.
 
-        c1 = (s1 + 4 s2 + s4) / 6,    c2 = s2 (s1 + s2 + s4) / 6,
-        c3 = s2^2 (s1 + s4) / 12,     c4 = s1 s2^2 s4 / 24,
-
-    so the product of the R is the scalar RK4 recurrence up to rounding.  It
-    uses no property of A, so the ODE stays an independent check of the
-    hyperbolic closed form.  For a >= 0 every entry of R is nonnegative, and
-    N keeps its relative precision in the pump's tail.
-
-    The pump is read only through its ``amplitude``, ``breakpoints``, ``peak``
-    and ``bend_time``.  Pieces between the grid points and the breakpoints take
-    n_sub = max(4, ceil(max(400 chi peak, 100 / bend_time) dt_max)) substeps
-    each, so a substep is short against both the growth time and a gaussian's
-    width.  Every stage reads the pump one ulp toward its piece's midpoint, so
-    a stage at a piece's end sees that piece's side of a jump: every jump is a
-    breakpoint, so a piece end.  A grid whose longest interval needs more than 100 000
-    substeps raises ValidationError before any is taken, and so does one that
-    starts inside or after a pulse (|tau(t0)| > 1e-14), since the start is
-    the vacuum (assume_zero_initial=True skips that check).  A grid that ends
-    past a sampled pump's last sample raises ExtrapolationError at its last
-    time, also before any substep.  Step halving
-    checks accuracy (StepSizeError above 1e-8 * max(1, |value|)), and a state
-    that overflows float64 raises NumericalError.
+    Before any substep, ValidationError refuses a grid whose largest |dtau|
+    needs more than 100 000 substeps, naming that interval and its tau span,
+    and one that starts inside or after a pulse (|tau(t0)| > 1e-14), since the
+    start is the vacuum (assume_zero_initial=True skips that check); past a
+    sampled pump's last sample, ExtrapolationError names the grid's last time.
+    Step halving checks accuracy (StepSizeError above 1e-8 * max(1, |value|)),
+    and a state that overflows float64 raises NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid)):
         raise ValidationError("t_grid must be a finite 1-d array with >= 2 points")
     if not np.all(np.diff(t_grid) > 0):
         raise ValidationError("t_grid must be strictly increasing")
-    HamiltonianParams(chi)
-
-    i = int(np.argmax(np.diff(t_grid)))
-    t0, t1, peak = float(t_grid[i]), float(t_grid[i + 1]), p.peak()
-    work = max(400.0 * chi * peak, 100.0 / p.bend_time(t_grid[0], t_grid[-1])) * (t1 - t0)
+    tau = tau_of_t(p, chi, t_grid)
+    with np.errstate(invalid="ignore"):  # inf - inf where tau overflows: refused below
+        dtau = np.diff(tau)
+    i = int(np.argmax(np.abs(dtau)))  # the first nan, if any
+    work = 400.0 * abs(float(dtau[i]))
     if not work <= _MAX_SUBSTEPS:
-        raise ValidationError(f"the grid interval [{t0!r}, {t1!r}] needs {work:.3g} RK4 substeps "
-                              f"at pump peak {peak!r}, more than {_MAX_SUBSTEPS}: add grid points")
-    tau0 = 0.0 if assume_zero_initial else tau_of_t(p, chi, float(t_grid[0]))
+        raise ValidationError(f"the grid interval [{float(t_grid[i])!r}, {float(t_grid[i + 1])!r}] "
+                              f"takes tau from {float(tau[i])!r} to {float(tau[i + 1])!r}, so it needs "
+                              f"{work:.3g} RK4 substeps, more than {_MAX_SUBSTEPS}: add grid points")
+    tau0 = 0.0 if assume_zero_initial else float(tau[0])
     if not abs(tau0) <= 1e-14:
         raise ValidationError(f"the pump area tau = {tau0!r} does not vanish at t0={float(t_grid[0])!r}: "
                               "the model starts from vacuum, so the grid must start before the pump")
     n_sub = max(4, math.ceil(work))
-    breaks = np.asarray(p.breakpoints(), dtype=float)  # the pieces: the grid split at them
-    edges = np.sort(np.concatenate((t_grid, breaks[(breaks > t_grid[0]) & (breaks < t_grid[-1])])))
-    edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]  # a grid point is no new edge
-    A = np.array([[0.0, chi, chi], [4.0 * chi, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    powers = np.stack([np.linalg.matrix_power(A, j) for j in range(5)]).reshape(5, 9)
-    at = np.searchsorted(edges, t_grid)  # each grid point's edge
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        p.amplitude(t_grid[-1])  # past a sampled pump's support this raises at the grid's time
-        coarse, fine = (_rk4_pass(p, powers, edges, n)[at] for n in (n_sub, 2 * n_sub))
+        coarse, fine = (_rk4_pass(dtau, n) for n in (n_sub, 2 * n_sub))
         err = float(np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))))
     overflow = ~np.isfinite(fine).all(axis=1)
     if overflow.any():
         raise NumericalError(f"the model overflows float64 by t={float(t_grid[overflow.argmax()])!r}")
     if not err <= _ODE_TOL:  # also when err is nan
-        raise StepSizeError(
-            f"step-halving error estimate {err:.3e} exceeds {_ODE_TOL:.0e} * max(1, |value|)"
-        )
-    return ModelTrajectory(t_grid, None, *fine.T)
+        raise StepSizeError(f"step-halving error estimate {err:.3e} exceeds {_ODE_TOL:.0e} * max(1, |value|)")
+    return ModelTrajectory(t_grid, tau, *fine.T)

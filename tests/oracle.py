@@ -4,10 +4,12 @@ Builds explicit operators by Kronecker products on small configs and
 computes every expectation by matrix algebra.  Deliberately independent of
 the matrix-free code paths it checks.
 
-Also holds the scalar RK4 of the mean-field model (``rk4_model``): one
-Python step per substep and piece, against which the step-matrix form in
-``pnes.meanfield`` is checked.
+Also holds the scalar RK4 in t of the mean-field model (``rk4_model``): one
+Python step per substep and piece, against which the RK4 in tau of
+``pnes.meanfield``, and so its ``tau_of_t``, is checked.
 """
+
+import math
 
 import numpy as np
 
@@ -82,25 +84,30 @@ def _rk4_piece(a_fn, chi, t0, t1, lam, n, n_sub):
 
 
 def rk4_model(p, chi, t_grid, n_sub):
-    """(Lambda, N) on t_grid from (0, 0) by scalar RK4, n_sub substeps per piece."""
+    """(Lambda, N) on t_grid from (0, 0) by scalar RK4 in t, n_sub substeps per piece.
+
+    It reads a(t) itself, not tau, so it checks ``tau_of_t`` too."""
     lam, n = 0.0, 0.0
     out_l = [lam]
     out_n = [n]
     piecewise_const = p.variant in ("constant", "rectangular")
-    breaks = p.breakpoints()
+    # where a(t) or its slope jumps: a sampled pump's samples, a rectangle's ends
+    breaks = p.times if p.variant == "sampled" else () if p.variant == "gaussian" else (0.0, p.T)
     for i in range(len(t_grid) - 1):
         t0, t1 = float(t_grid[i]), float(t_grid[i + 1])
         # split at the profile's kinks and jumps so every rk4 step sees a smooth rhs
         edges = [t0] + [b for b in breaks if t0 < b < t1] + [t1]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            if piecewise_const:
-                a_mid = p.amplitude(0.5 * (lo + hi))
-                a_fn = lambda t, a=a_mid: a
-            elif p.variant == "sampled" and hi <= p.times[0]:
-                # the zero before the first sample, not the jump at its end
-                a_fn = lambda t: 0.0
-            else:
-                a_fn = p.amplitude
+            if p.variant == "gaussian":  # its own formula, in Python floats
+                def a_fn(t, a=p.a, c=p.t_center, w=p.width):
+                    z = (t - c) / w
+                    return a * math.exp(-0.5 * z * z)
+            elif piecewise_const or hi <= p.times[0]:
+                # a rectangle's level, or the zero before the first sample (not the jump at its end)
+                a_fn = lambda t, a=p.amplitude(0.5 * (lo + hi)): a
+            else:  # sampled: linear on the piece, between its ends
+                a_lo, a_hi = p.amplitude(lo), p.amplitude(hi)
+                a_fn = lambda t, a=a_lo, s=(a_hi - a_lo) / (hi - lo), lo=lo: a + (t - lo) * s
             lam, n = _rk4_piece(a_fn, chi, lo, hi, lam, n, n_sub)
         out_l.append(lam)
         out_n.append(n)

@@ -390,8 +390,8 @@ class TestEvolveModel:
         assert not out.exists()
 
     def test_unresolved_pulse_is_a_step_size_error(self, tmp_path, capsys, monkeypatch):
-        # the substeps follow a gaussian's width, so the two RK4 passes agree on any
-        # pulse to about 1e-16; at a tolerance of 1e-30 they disagree
+        # the substeps follow each interval's tau span, so the two RK4 passes agree on
+        # any pulse to about 1e-16; at a tolerance of 1e-30 they disagree
         monkeypatch.setattr(pnes.meanfield, "_ODE_TOL", 1e-30)
         text = ("profile = gaussian\namplitude = 1\ncenter = 0.5\nwidth = 0.05\nchi = 1\n"
                 "t_start = 0\nt_stop = 1\nn_points = 2\n")
@@ -828,15 +828,15 @@ def refused(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("command, text, code, error, match", [
-    ("evolve-model", "profile = rectangular\namplitude = 1\nduration = 2\nchi = 1\n"
-                     "t_start = -1\nt_stop = 1e12\nn_points = 3\n",
-     1, "ValidationError", "RK4 substeps at pump peak 1.0, more than 100000: add grid points"),
+    ("evolve-model", "profile = constant\namplitude = 1\nchi = 1\nt_start = -1\nt_stop = 1e12\n"
+                     "n_points = 3\n",
+     1, "ValidationError", "so it needs 2e+14 RK4 substeps, more than 100000: add grid points"),
     ("compare", "alpha = 2\nchi = 0.05\nt_stop = 1e12\ndt = 1e11\npair_dim = 12\n",
      2, "NumericalError", "the closed form overflows float64 at |tau| = 100000000000.0"),
 ], ids=["evolve-model", "compare"])
 def test_coarse_model_grid_refused_before_integrating(tmp_path, capsys, monkeypatch,
                                                       command, text, code, error, match):
-    # evolve-model: 400 chi peak dt = 2e14 RK4 substeps per piece, which never returned;
+    # evolve-model: 400 dtau = 2e14 RK4 substeps in one interval, which would never return;
     # compare reads the closed form, which overflows at tau = chi alpha t = 1e11
     def refuse(*args, **kwargs):
         raise AssertionError("the model was integrated")

@@ -31,7 +31,7 @@ normal_or_zero = st.floats(0.0, 1.0).map(lambda x: x if x >= 1e-6 else 0.0)
 
 @st.composite
 def model_cases(draw):
-    """(profile, chi, grid): a random increasing grid, the profile's breakpoints
+    """(profile, chi, grid): a random increasing grid, the profile's jumps and kinks
     falling both on grid points and inside grid intervals."""
     steps = draw(st.lists(st.floats(0.05, 0.5), min_size=1, max_size=9))
     grid = np.concatenate(([0.0], np.cumsum(steps)))
@@ -52,7 +52,7 @@ def model_cases(draw):
         else:
             p = PumpProfile.constant(amp)
     elif variant == "gaussian":
-        width = draw(st.floats(4.0, 8.0)) * max(steps)  # 13 to 25 substeps by the width
+        width = 10.0 ** draw(st.floats(-1.5, 1.0)) * max(steps)  # far narrower than a step, or wider
         # the grid starts in the far left tail (z from 7 to 14) or near the peak
         z0 = draw(st.one_of(st.floats(7.0, 14.0), st.floats(-1.0, 7.0)))
         p = PumpProfile.gaussian(amp, z0 * width, width)
@@ -147,7 +147,7 @@ class TestPumpProfile:
     def test_constant_is_an_endless_rectangle(self):
         p = PumpProfile.constant(0.7)
         assert p == PumpProfile("constant", a=0.7, T=5.0)
-        assert (p.T, p.breakpoints()) == (math.inf, (0.0, math.inf))
+        assert p.T == math.inf
         t = np.array([-1.0, 0.0, 1e300])
         assert p.amplitude(t).tolist() == [0.0, 0.7, 0.7]
         assert [tau_of_t(p, 2.0, x) for x in t] == [0.0, 0.0, 1.4 * 1e300]
@@ -267,7 +267,7 @@ class TestIntegrateModel:
         assert np.max(np.abs(ode.Lambda - cf.Lambda)) < 1e-8
         assert np.max(np.abs(ode.N - cf.N)) < 1e-8
         assert ode.Lambda[-1] == pytest.approx(closed_form(0.2)[0], abs=1e-8)
-        assert ode.tau is None  # tau comes from the closed form only
+        assert ode.tau.tobytes() == cf.tau.tobytes()
 
     def test_matches_closed_form_gaussian(self):
         p = gaussian_with_area(1.5, 0.4, center=1.0)
@@ -308,36 +308,33 @@ class TestIntegrateModel:
             integrate_model(PumpProfile.rectangular(1.0, 2.0), 0.1, [-1.0, end])
 
     def test_refuses_a_grid_needing_too_many_substeps(self, monkeypatch):
+        # the interval's tau span alone sets the count: 400 * 1000 substeps
         def refuse(*args, **kwargs):
             raise AssertionError("the model was integrated")
 
         monkeypatch.setattr(meanfield, "_rk4_pass", refuse)
-        with pytest.raises(ValidationError, match=r"\[-1.0, 1000.0\] needs 4e\+05 .* peak 1.0"):
-            integrate_model(PumpProfile.rectangular(1.0, 2.0), 1.0, [-1.0, 1000.0])
+        with pytest.raises(ValidationError, match=r"\[-1.0, 1000.0\] takes tau from 0.0 to 1000.0, "
+                                                  r"so it needs 4e\+05 RK4 substeps, more than 100000"):
+            integrate_model(PumpProfile.constant(1.0), 1.0, [-1.0, 1000.0])
 
     def test_substeps_follow_a_narrow_gaussian_inside_the_grid(self):
-        # 400 chi peak dt_max = 40 substeps would step over the pulse; 100 per width do not
+        # RK4 in tau steps over each interval's area, whatever the pulse's shape inside it
         p = PumpProfile.gaussian(1.0, 0.3, 0.01)
         grid = np.array([-1.0, 0.0, 1.0])
         ode, cf = integrate_model(p, 0.1, grid), closed_form_trajectory(p, 0.1, grid)
         assert np.max(np.abs(ode.Lambda - cf.Lambda)) <= 1e-12
         assert np.max(np.abs(ode.N - cf.N)) <= 1e-12
 
-    @pytest.mark.parametrize("p, t0, t1, want", [
-        (PumpProfile.gaussian(1.0, 0.3, 0.01), -1.0, 1.0, 0.01),
-        (PumpProfile.gaussian(1.0, 1.39, 0.01), -1.0, 1.0, 0.01),  # 39 widths past the grid
-        (PumpProfile.gaussian(1.0, 1.41, 0.01), -1.0, 1.0, math.inf),  # a = 0 on the grid
-        (PumpProfile.gaussian(1.0, 100.0, 1e-200), -1.0, 1.0, math.inf),
-        (PumpProfile.gaussian(0.0, 0.3, 0.01), -1.0, 1.0, math.inf),
-        (PumpProfile.gaussian(1.0, 0.0, 1e300), -1.0, 1.0, 1e300),  # 40 widths overflow
-        (PumpProfile.rectangular(1.0, 2.0), -1.0, 1.0, math.inf),
-        (PumpProfile.sampled([0.0, 1.0], [0.0, 1.0]), -1.0, 1.0, math.inf),
-    ], ids=["inside", "near", "far", "far-narrow", "zero", "wide", "rectangular", "sampled"])
-    def test_bend_time(self, p, t0, t1, want):
-        assert p.bend_time(t0, t1) == want
+    def test_a_pulse_a_billion_times_narrower_than_the_grid_is_not_refused(self):
+        # the substep count follows the pulse's area, tau = 2.5e-10, not its width: 4 substeps
+        p = PumpProfile.gaussian(1.0, 0.0, 1e-9)
+        grid = np.array([-1.0, 0.0, 1.0])
+        ode, cf = integrate_model(p, 0.1, grid), closed_form_trajectory(p, 0.1, grid)
+        assert np.all(np.abs(ode.Lambda - cf.Lambda) <= 1e-12 * cf.Lambda)
+        assert np.all(np.abs(ode.N - cf.N) <= 1e-12 * cf.N)
 
     def test_refuses_a_grid_past_the_pump_support_before_any_substep(self, monkeypatch):
-        # an RK4 stage would first read the pump at 1.0000000000000002 and name that time
+        # tau_of_t reads the pump on the grid, so it names the grid's own time
         def refuse(*args, **kwargs):
             raise AssertionError("the model was integrated")
 
@@ -347,48 +344,37 @@ class TestIntegrateModel:
             integrate_model(p, 0.1, np.linspace(-1.0, 1.5, 3))
 
 
-class _PumpInterface:
-    """A pump offering only what the model integrator may read of it."""
-
-    def __init__(self, p):
-        self.amplitude, self.breakpoints, self.peak = p.amplitude, p.breakpoints, p.peak
-        self.bend_time = p.bend_time
-
-
-@pytest.mark.parametrize("p", [
-    PumpProfile.constant(0.7),
-    PumpProfile.rectangular(1.3, 1.0),  # switches on inside the grid interval [-0.25, 0.125]
-    PumpProfile.gaussian(1.0, 1.0, 0.3),
-    PumpProfile.sampled([0.25, 0.5, 2.0], [1.0, 0.0, 0.4]),  # jumps from 0 to 1 at 0.25
-], ids=lambda p: p.variant)
-def test_integrator_reads_the_pump_only_through_its_interface(p):
-    grid = np.linspace(-0.25, 2.0, 7)
-    want = integrate_model(p, 0.4, grid, assume_zero_initial=True)
-    got = integrate_model(_PumpInterface(p), 0.4, grid, assume_zero_initial=True)
+@pytest.mark.parametrize("p, grid", [
+    (PumpProfile.constant(0.7), np.linspace(-0.25, 2.0, 7)),
+    (PumpProfile.rectangular(1.3, 1.0), np.linspace(-0.25, 1.0, 5)),  # switches on at 0, inside
+    (PumpProfile.gaussian(1.0, 1.0, 0.3), np.linspace(-11.0, 2.0, 7)),  # erfc underflows at -11
+    (PumpProfile.sampled([0.25, 0.5, 2.0], [1.0, 0.0, 0.4]), np.linspace(0.0, 2.0, 5)),
+], ids=["constant", "rectangular", "gaussian", "sampled"])
+def test_integrator_reads_the_pump_only_through_its_interface(p, grid):
+    # the interface is tau_of_t: a unit constant pump at chi = 1 has tau(t) = t from t = 0 on
+    tau = tau_of_t(p, 0.4, grid)
+    assert tau[0] == 0.0 and np.all(np.diff(tau) > 0)
+    want = integrate_model(p, 0.4, grid)
+    got = integrate_model(PumpProfile.constant(1.0), 1.0, tau)
     for g, w in ((got.Lambda, want.Lambda), (got.N, want.N)):
         assert g.tobytes() == w.tobytes()
-
-
-def test_integrator_reads_the_breakpoints_once():
-    # both step-halving passes share one set of pieces
-    calls = []
-    p = _PumpInterface(PumpProfile.sampled([0.25, 0.5, 2.0], [1.0, 0.0, 0.4]))
-    breakpoints = p.breakpoints
-    p.breakpoints = lambda: calls.append(1) or breakpoints()
-    integrate_model(p, 0.4, np.linspace(-0.25, 2.0, 7), assume_zero_initial=True)
-    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(model_cases())
 def test_integrate_model_matches_scalar_rk4(case):
+    # the oracle reads a(t) in t, so it checks tau_of_t too; the tolerance is four times
+    # its own step-halving change plus the integrator's distance from the closed form of
+    # its tau, and a few ulps
     p, chi, grid = case
     ode = integrate_model(p, chi, grid, assume_zero_initial=True)
-    rate = max(400.0 * chi * p.peak(), 100.0 / p.bend_time(grid[0], grid[-1]))
-    n_sub = max(4, math.ceil(rate * float(np.max(np.diff(grid)))))
-    lam, n = rk4_model(p, chi, grid, 2 * n_sub)
-    for got, want in ((ode.Lambda, lam), (ode.N, n)):
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    cf = closed_form(ode.tau - ode.tau[0])
+    coarse, (lam, n) = rk4_model(p, chi, grid, 2048), rk4_model(p, chi, grid, 4096)
+    for got, want, half, exact in zip((ode.Lambda, ode.N), (lam, n), coarse, cf):
+        scale = np.maximum(1.0, np.abs(want))
+        run = np.max((np.abs(half - want) + np.abs(got - exact)) / scale)
+        tol = 4.0 * run + 16.0 * np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= tol * scale)
     # the pump's tail: N keeps its relative precision, it does not cancel to 0
     tail = (n > 0) & (n < 1e-20)
     for got, want in ((ode.Lambda[tail], lam[tail]), (ode.N[tail], n[tail])):
@@ -399,8 +385,7 @@ def test_scalar_rk4_sees_no_jump_before_the_first_sample():
     # a(t) is 0 before t = 0.25 and 1 from there; the piece [0, 0.25] ends on the jump
     p = PumpProfile.sampled([0.25, 0.5, 1.0], [1.0, 0.0, 0.0])
     grid = np.array([0.0, 0.5, 1.0])
-    n_sub = max(4, math.ceil(400.0 * p.peak() * float(np.max(np.diff(grid)))))
-    lam, n = rk4_model(p, 1.0, grid, 2 * n_sub)
+    lam, n = rk4_model(p, 1.0, grid, 400)
     cf = closed_form_trajectory(p, 1.0, grid)
     assert np.max(np.abs(lam - cf.Lambda)) <= 1e-12
     assert np.max(np.abs(n - cf.N)) <= 1e-12
@@ -410,7 +395,7 @@ def test_gaussian_tail_keeps_relative_precision():
     p = PumpProfile.gaussian(1.0, 5.0, 1.0)
     grid = np.linspace(-10.0, 10.0, 800)
     ode = integrate_model(p, 0.3, grid)
-    lam, n = rk4_model(p, 0.3, grid, 8)
+    lam, n = rk4_model(p, 0.3, grid, 64)  # RK4 in t: 3e-9 off at 8 substeps, 1.6e-12 at 64
     tail = n < 1e-20
     assert np.count_nonzero(tail) > 200 and np.all(n[1:] > 0)
     assert np.all(np.abs(ode.N[tail] - n[tail]) <= 1e-9 * n[tail])
